@@ -1,8 +1,11 @@
 """Compiled replay kernels (C, loaded with ctypes).
 
 Long path-free replays are dominated by per-parcel interpreter overhead, so
-the element engines hand whole streams of ``MIN_STREAM`` or more
-interactions to these kernels.  The C source ships inside the package
+the element engines' ``run()`` hands whole streams of ``MIN_STREAM`` or more
+interactions to these kernels; :func:`accepts` holds that rule for both
+engines.  :func:`replay_receipt` and :func:`replay_gentime` copy a kernel's
+totals and counters into the engine and return its parcels, from which the
+engine rebuilds its buffers.  The C source ships inside the package
 (``_replay.c``).  It is compiled with the system ``cc`` on the first kernel
 use, or by :func:`warmup`, into a per-process temporary directory, and the
 library is loaded from there; importing the package starts no compiler.
@@ -21,6 +24,7 @@ import ctypes
 import logging
 import shutil
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -100,64 +104,82 @@ def warmup() -> bool:
     return _lib is not None
 
 
-def _check(n_vertices, src, dst, *columns):
-    """Reject columns of unequal length and vertex indices outside the arrays."""
-    n = src.size
-    if any(c.size != n for c in (dst, *columns)):
-        raise ValueError("stream columns differ in length")
-    if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n_vertices):
-        raise IndexError(f"vertex index outside [0, {n_vertices})")
+def accepts(engine, stream) -> bool:
+    """Whether ``engine.run(stream)`` should replay ``stream`` in a kernel.
+
+    The kernels start from empty buffers and keep neither routes nor merged
+    parcels, so the engine must be fresh, with route tracking and coalescing
+    off.  The stream must be a list or tuple of ``MIN_STREAM`` or more
+    interactions, and the kernels must build.
+    """
+    return (
+        engine.paths is None
+        and not engine.coalesce
+        and engine.interactions_processed == 0
+        and engine.entries == 0
+        and isinstance(stream, (list, tuple))
+        and len(stream) >= MIN_STREAM
+        and warmup()
+    )
 
 
-def _ran(result):
-    if result < 0:
+def by_vertex(items: list, counts: list[int]) -> list[list]:
+    """Cut ``items`` into consecutive lists, ``counts[v]`` long for vertex v."""
+    bounds = [0, *accumulate(counts)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _replay(kernel, engine, columns, setting, parcel_dtypes):
+    """Run ``kernel`` over the stream ``columns`` into a fresh ``engine``.
+
+    Copies the kernel's totals, generated mass, cumulative newborn mass,
+    entry counts and interaction count into the engine.  Returns the live
+    parcels as one list per parcel field, in buffer order, vertex by vertex,
+    and the per-vertex parcel counts.
+    """
+    src, dst = columns[0], columns[1]
+    n, nv = src.size, engine.n_vertices
+    if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
+        raise IndexError(f"vertex index outside [0, {nv})")
+    totals = np.zeros(nv)
+    generated = np.zeros(nv)
+    cum_nb = np.zeros(1)
+    # at most one split copy and one newborn per interaction
+    parcels = [np.empty(2 * n + 1, dtype) for dtype in parcel_dtypes]
+    counts = np.empty(nv, np.int64)
+    entries = kernel(
+        n, *columns, nv, setting, engine.epsilon,
+        totals, generated, cum_nb, *parcels, counts,
+    )
+    if entries < 0:
         raise MemoryError("replay kernel could not allocate its parcel pools")
-    return result
+    engine.totals = totals.tolist()
+    engine.generated = generated.tolist()
+    engine.cumulative_newborn = float(cum_nb[0])
+    engine.entries = entries
+    engine.peak_entries = max(engine.peak_entries, entries)
+    engine.interactions_processed = n
+    return [p[:entries].tolist() for p in parcels], counts.tolist()
 
 
-def replay_receipt(src, dst, qty, n_vertices, lifo, eps):
-    """Replay a stream under FIFO/LIFO.
+def replay_receipt(engine, stream, lifo: bool):
+    """Replay ``stream`` under FIFO/LIFO into a fresh ``engine``.
 
-    Returns ``(origins, quantities, counts, totals, generated, cum_nb,
-    entries)``: every live parcel in buffer order (front to back, FIFO and
-    LIFO alike), vertex by vertex, with ``counts[v]`` parcels for vertex v.
+    Returns ``[origins, quantities], counts``: every live parcel in buffer
+    order (front to back, FIFO and LIFO alike).
     """
-    _check(n_vertices, src, dst, qty)
-    n = src.size
-    totals = np.zeros(n_vertices)
-    generated = np.zeros(n_vertices)
-    cum_nb = np.zeros(1)
-    origins = np.empty(2 * n + 1, np.int64)
-    quantities = np.empty(2 * n + 1)
-    counts = np.empty(n_vertices, np.int64)
-    entries = _ran(_lib.replay_receipt(
-        n, src, dst, qty, n_vertices, int(lifo), eps,
-        totals, generated, cum_nb, origins, quantities, counts,
-    ))
-    return origins[:entries], quantities[:entries], counts, totals, generated, cum_nb[0], entries
+    src, dst, _, qty = stream_arrays(stream)
+    return _replay(_lib.replay_receipt, engine, (src, dst, qty), int(lifo), (np.int64, np.float64))
 
 
-def replay_gentime(src, dst, tms, qty, n_vertices, sign, eps):
-    """Replay a stream under LRB (sign 1) or MRB (sign -1).
+def replay_gentime(engine, stream, sign: float):
+    """Replay ``stream`` under LRB (sign 1) or MRB (sign -1) into a fresh ``engine``.
 
-    Returns ``(origins, births, quantities, seqs, counts, totals, generated,
-    cum_nb, entries)``: every live parcel in heap-array order, vertex by
-    vertex, with ``counts[v]`` parcels for vertex v.  A parcel's sequence
-    number is its creation index, so the next free one is ``entries``.
+    Returns ``[origins, births, quantities, seqs], counts``: every live parcel
+    in heap-array order.  A parcel's sequence number is its creation index,
+    so the next free one is ``engine.entries``.
     """
-    _check(n_vertices, src, dst, tms, qty)
-    n = src.size
-    totals = np.zeros(n_vertices)
-    generated = np.zeros(n_vertices)
-    cum_nb = np.zeros(1)
-    origins = np.empty(2 * n + 1, np.int64)
-    births = np.empty(2 * n + 1)
-    quantities = np.empty(2 * n + 1)
-    seqs = np.empty(2 * n + 1, np.int64)
-    counts = np.empty(n_vertices, np.int64)
-    entries = _ran(_lib.replay_gentime(
-        n, src, dst, tms, qty, n_vertices, sign, eps,
-        totals, generated, cum_nb, origins, births, quantities, seqs, counts,
-    ))
-    parcels = (origins[:entries], births[:entries], quantities[:entries], seqs[:entries])
-    return (*parcels, counts, totals, generated, cum_nb[0], entries)
+    return _replay(
+        _lib.replay_gentime, engine, stream_arrays(stream), sign,
+        (np.int64, np.float64, np.float64, np.int64),
+    )

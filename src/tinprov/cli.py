@@ -83,13 +83,23 @@ def _parse_budget(text: str) -> BudgetSpec:
     return BudgetSpec(capacity, fraction)
 
 
-def _load_scope(args, table: VertexTable, stream) -> Optional[ScopeMap]:
+def _int_option(parser, name: str, text: str, least: int) -> int:
+    """``text`` as an integer of at least ``least``, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        parser.error(f"{name} must be an integer >= {least}, got {text!r}")
+    return value
+
+
+def _load_scope(args, topk: Optional[int], table: VertexTable, stream) -> Optional[ScopeMap]:
     if args.selective:
-        if args.selective.startswith("topk="):
-            k = int(args.selective[5:])
+        if topk is not None:
             gen = generated_totals(stream, len(table))
             ranked = sorted(range(len(table)), key=lambda v: (-gen[v], v))
-            tracked = ranked[:k]
+            tracked = ranked[:topk]
         else:
             with open(args.selective, encoding="utf-8") as fh:
                 labels = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -99,9 +109,14 @@ def _load_scope(args, table: VertexTable, stream) -> Optional[ScopeMap]:
         group_names: dict[str, int] = {}
         group_of: dict[int, int] = {}
         with open(args.groups, encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            rows = csv.reader(fh)
+            for row in rows:
                 if not row or row[0].startswith("#"):
                     continue
+                if len(row) < 2:
+                    raise ConfigError(
+                        f"--groups line {rows.line_num}: expected vertex_label,group_label"
+                    )
                 label, group = row[0].strip(), row[1].strip()
                 gid = group_names.setdefault(group, len(group_names))
                 if label in table:
@@ -186,14 +201,27 @@ def cmd_run(args, parser) -> int:
     if args.snapshot_at != "end":
         if not args.snapshot_at.startswith("every-k="):
             parser.error("--snapshot-at takes 'end' or 'every-k=N'")
-        every_k = int(args.snapshot_at[8:])
-        if every_k < 1:
-            parser.error("every-k must be positive")
+        every_k = _int_option(parser, "every-k", args.snapshot_at[8:], 1)
+    topk = None
+    if args.selective and args.selective.startswith("topk="):
+        topk = _int_option(parser, "--selective topk", args.selective[5:], 0)
     if args.alert_threshold is not None:
         if policy not in PROPORTIONAL_POLICIES:
             parser.error("--alert-threshold requires a proportional policy")
         if every_k is not None:
             parser.error("--alert-threshold cannot be combined with every-k snapshots")
+    cfg = EngineConfig(
+        policy=policy,
+        window=args.window,
+        budget=budget,
+        track_paths=args.paths,
+        coalesce=args.coalesce,
+        epsilon=args.epsilon,
+    )
+    try:
+        cfg.validate()  # before the input is read; build_engine checks the scope
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     if args.input == "-":
         table, stream, rejected = parse_stream(sys.stdin)
@@ -208,16 +236,7 @@ def cmd_run(args, parser) -> int:
     stream = sort_check(stream)
 
     try:
-        scope = _load_scope(args, table, stream)
-        cfg = EngineConfig(
-            policy=policy,
-            scope=scope,
-            window=args.window,
-            budget=budget,
-            track_paths=args.paths,
-            coalesce=args.coalesce,
-            epsilon=args.epsilon,
-        )
+        scope = cfg.scope = _load_scope(args, topk, table, stream)
         engine = build_engine(cfg, len(table))
     except (ConfigError, KeyError) as exc:
         parser.error(str(exc))

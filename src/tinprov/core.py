@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from math import inf, isfinite
 from typing import Iterable, Optional, Sequence
 
 logger = logging.getLogger(__name__)
@@ -116,22 +117,22 @@ def parse_stream(
     """Parse CSV/TSV interaction records into an interned stream.
 
     One interaction per line: ``source,dest,time,quantity``.  Lines starting
-    with ``#`` and blank lines are ignored.  An optional header line is
-    auto-detected (non-numeric time field).  Records with unparseable fields
-    or non-positive quantity are skipped and reported; the rest of the stream
-    is unaffected.
+    with ``#`` and blank lines are ignored.  The first other line is skipped
+    as a header if its time or quantity is not a number.  Records with
+    unparseable or non-finite fields, a non-positive quantity or a negative
+    time are skipped and reported; the rest of the stream is unaffected.
     """
     if table is None:
         table = VertexTable()
     stream: list[Interaction] = []
     rejected: list[RejectedRecord] = []
     delimiter: Optional[str] = None
-    saw_data = False
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if delimiter is None:
+        first = delimiter is None
+        if first:
             delimiter = _sniff_delimiter(line)
         fields = [f.strip() for f in line.split(delimiter)]
         if len(fields) != 4:
@@ -143,19 +144,16 @@ def parse_stream(
             time = float(fields[2])
             quantity = float(fields[3])
         except ValueError:
-            if not saw_data:
-                # header line: skip silently
-                continue
-            rejected.append(RejectedRecord(line_no, line, "non-numeric time/quantity"))
+            if not first:  # a header line is skipped silently
+                rejected.append(RejectedRecord(line_no, line, "non-numeric time/quantity"))
             continue
-        saw_data = True
-        if quantity <= 0:
-            rejected.append(
-                RejectedRecord(line_no, line, f"non-positive quantity {fields[3]}")
-            )
+        if not 0.0 < quantity < inf:
+            reason = "non-finite" if not isfinite(quantity) else "non-positive"
+            rejected.append(RejectedRecord(line_no, line, f"{reason} quantity {fields[3]}"))
             continue
-        if time < 0:
-            rejected.append(RejectedRecord(line_no, line, f"negative time {fields[2]}"))
+        if not 0.0 <= time < inf:
+            reason = "non-finite" if not isfinite(time) else "negative"
+            rejected.append(RejectedRecord(line_no, line, f"{reason} time {fields[2]}"))
             continue
         stream.append(
             Interaction(table.intern(fields[0]), table.intern(fields[1]), time, quantity)
@@ -185,8 +183,8 @@ class EngineBase:
     policy: Policy
 
     def __init__(self, n_vertices: int, epsilon: float = 1e-9) -> None:
-        if epsilon < 0:
-            raise ConfigError("epsilon must be non-negative")
+        if not (isfinite(epsilon) and epsilon >= 0):
+            raise ConfigError("epsilon must be finite and non-negative")
         self.n_vertices = n_vertices
         self.epsilon = epsilon
         self.totals = [0.0] * n_vertices

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 from .core import (
@@ -47,8 +48,8 @@ class EngineConfig:
                 raise ConfigError("coalescing would merge parcels with distinct paths")
         if self.window is not None and self.window < 1:
             raise ConfigError("window must be a positive interaction count")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be non-negative")
+        if not (isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError("epsilon must be finite and non-negative")
 
 
 def build_engine(cfg: EngineConfig, n_vertices: int):

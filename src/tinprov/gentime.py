@@ -9,12 +9,17 @@ generated as a newborn parcel at the source.
 Heap entries are mutable lists ``[key, origin, seq, birth_time, quantity,
 path]``.  ``key`` is the signed birth time, ``seq`` is a creation sequence
 number that makes the ordering total (ties on birth time break on origin
-index, then creation order).
+index, then creation order).  A parcel moved whole keeps its ``seq``, and so
+its place in the order.
+
+``process()`` is the one per-interaction replay loop; ``run()`` reuses it,
+or hands a long path-free replay to the C kernel in ``_kernels``, which
+builds the same heaps.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Optional
 
 from . import _kernels
@@ -40,6 +45,7 @@ class GenTimeEngine(EngineBase):
         if coalesce and track_paths:
             raise ConfigError("coalescing would merge parcels with distinct paths")
         self.policy = Policy.MOST_RECENTLY_BORN if most_recent else Policy.LEAST_RECENTLY_BORN
+        self.coalesce = coalesce
         self._sign = -1.0 if most_recent else 1.0
         self.buffers: list[list[list]] = [[] for _ in range(n_vertices)]
         self.paths: Optional[PathStore] = None
@@ -61,7 +67,7 @@ class GenTimeEngine(EngineBase):
             seq = self._seq
             self._seq += 1
         entry = [self._sign * birth, origin, seq, birth, qty, path]
-        heapq.heappush(self.buffers[v], entry)
+        heappush(self.buffers[v], entry)
         if self._merge_maps is not None:
             self._merge_maps[v][(origin, birth)] = entry
         self.entries += 1
@@ -69,8 +75,10 @@ class GenTimeEngine(EngineBase):
     def process(self, r: Interaction) -> None:
         s = r.source
         src = self.buffers[s]
+        dst = self.buffers[r.dest]
         eps = self.epsilon
         paths = self.paths
+        merge = self._merge_maps
         resq = r.quantity
         while resq > 0.0 and src:
             top = src[0]
@@ -82,15 +90,17 @@ class GenTimeEngine(EngineBase):
                 self._add(r.dest, top[_ORIGIN], top[_BIRTH], resq, top[_PATH])
                 resq = 0.0
             else:
-                heapq.heappop(src)
-                self.entries -= 1
-                if self._merge_maps is not None:
-                    del self._merge_maps[s][(top[_ORIGIN], top[_BIRTH])]
-                path = top[_PATH]
-                if paths is not None:
-                    path = paths.extend(path, s)
-                self._add(r.dest, top[_ORIGIN], top[_BIRTH], tq, path, seq=top[_SEQ])
+                # whole move: the popped entry itself joins the destination
+                heappop(src)
                 resq -= tq
+                if paths is not None:
+                    top[_PATH] = paths.extend(top[_PATH], s)
+                if merge is None:
+                    heappush(dst, top)
+                else:
+                    del merge[s][(top[_ORIGIN], top[_BIRTH])]
+                    self.entries -= 1
+                    self._add(r.dest, top[_ORIGIN], top[_BIRTH], tq, top[_PATH], seq=top[_SEQ])
         if resq > 0.0:
             path = paths.birth(s) if paths is not None else NO_PATH
             self._add(r.dest, s, r.time, resq, path)
@@ -101,76 +111,11 @@ class GenTimeEngine(EngineBase):
     def run(self, stream) -> "GenTimeEngine":
         """Replay a whole stream; same semantics as repeated process() calls.
 
-        Hot path for long streams: with paths and coalescing off, the
-        per-interaction work runs with everything in locals and whole-parcel
-        moves reuse the popped heap entry.
+        Replays that :func:`_kernels.accepts` go to the compiled kernel.
         """
-        if self.paths is not None or self._merge_maps is not None:
-            for r in stream:
-                self.process(r)
-            return self
-        if (
-            self.interactions_processed == 0
-            and self.entries == 0
-            and self._seq == 0
-            and isinstance(stream, (list, tuple))
-            and len(stream) >= _kernels.MIN_STREAM
-            and _kernels.warmup()
-        ):
+        if _kernels.accepts(self, stream):
             return self._run_kernel(stream)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        buffers = self.buffers
-        totals = self.totals
-        generated = self.generated
-        eps = self.epsilon
-        sign = self._sign
-        seq = self._seq
-        entries = self.entries
-        cum = self.cumulative_newborn
-        count = 0
-        for r in stream:
-            s = r.source
-            d = r.dest
-            rq = r.quantity
-            src = buffers[s]
-            dst = buffers[d]
-            resq = rq
-            while src:
-                top = src[0]
-                tq = top[_QTY]
-                if tq - resq > eps:
-                    top[_QTY] = tq - resq
-                    heappush(dst, [top[0], top[1], seq, top[3], resq, top[5]])
-                    seq += 1
-                    entries += 1
-                    resq = 0.0
-                    break
-                heappush(dst, heappop(src))
-                resq -= tq
-                if resq <= 0.0:
-                    break
-            if resq > 0.0:
-                rt = r.time
-                heappush(dst, [sign * rt, s, seq, rt, resq, -1])
-                seq += 1
-                entries += 1
-            bs = totals[s]
-            q = rq if rq < bs else bs
-            totals[s] = bs - q
-            totals[d] += rq
-            nb = rq - q
-            if nb > 0.0:
-                generated[s] += nb
-                cum += nb
-            count += 1
-        self._seq = seq
-        self.entries = entries
-        if entries > self.peak_entries:
-            self.peak_entries = entries
-        self.cumulative_newborn = cum
-        self.interactions_processed += count
-        return self
+        return super().run(stream)
 
     def _run_kernel(self, stream) -> "GenTimeEngine":
         """Replay via the compiled kernel and fill the buffer heaps.
@@ -178,27 +123,16 @@ class GenTimeEngine(EngineBase):
         The kernel keeps each heap in the layout ``heapq`` builds, under the
         same (key, origin, seq) order, so its parcels are valid heaps as given.
         """
-        src, dst, tms, qty = _kernels.stream_arrays(stream)
-        origins, births, quantities, seqs, counts, totals, generated, cum_nb, entries = (
-            _kernels.replay_gentime(src, dst, tms, qty, self.n_vertices, self._sign, self.epsilon)
+        (origins, births, quantities, seqs), counts = (
+            _kernels.replay_gentime(self, stream, self._sign)
         )
         sign = self._sign
         parcels = [
             [sign * b, o, k, b, q, NO_PATH]
-            for o, b, q, k in zip(origins.tolist(), births.tolist(), quantities.tolist(), seqs.tolist())
+            for o, b, q, k in zip(origins, births, quantities, seqs)
         ]
-        start = 0
-        for v, m in enumerate(counts.tolist()):
-            self.buffers[v] = parcels[start : start + m]
-            start += m
-        self.totals = totals.tolist()
-        self.generated = generated.tolist()
-        self.cumulative_newborn = float(cum_nb)
-        self.entries = int(entries)
-        if self.entries > self.peak_entries:
-            self.peak_entries = self.entries
+        self.buffers = _kernels.by_vertex(parcels, counts)
         self._seq = self.entries
-        self.interactions_processed = len(stream)
         return self
 
     def snapshot(self, v: int) -> list[tuple[int, float, float]]:

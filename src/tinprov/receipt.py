@@ -27,6 +27,9 @@ from .paths import NO_PATH, PathStore
 class ReceiptEngine(EngineBase):
     """Provenance engine for the FIFO/LIFO selection policies."""
 
+    #: receipt buffers never merge parcels
+    coalesce = False
+
     def __init__(
         self,
         n_vertices: int,
@@ -79,38 +82,18 @@ class ReceiptEngine(EngineBase):
     def run(self, stream) -> "ReceiptEngine":
         """Replay a whole stream; same semantics as repeated process() calls.
 
-        Long path-free replays into a fresh engine go to the compiled kernel.
+        Replays that :func:`_kernels.accepts` go to the compiled kernel.
         """
-        if (
-            self.paths is None
-            and self.interactions_processed == 0
-            and self.entries == 0
-            and isinstance(stream, (list, tuple))
-            and len(stream) >= _kernels.MIN_STREAM
-            and _kernels.warmup()
-        ):
+        if _kernels.accepts(self, stream):
             return self._run_kernel(stream)
         return super().run(stream)
 
     def _run_kernel(self, stream) -> "ReceiptEngine":
         """Replay via the compiled kernel and fill the buffers from its parcels."""
-        src, dst, _, qty = _kernels.stream_arrays(stream)
-        origins, quantities, counts, totals, generated, cum_nb, entries = (
-            _kernels.replay_receipt(src, dst, qty, self.n_vertices, self._lifo, self.epsilon)
-        )
-        parcels = list(zip(origins.tolist(), quantities.tolist(), repeat(NO_PATH)))
+        (origins, quantities), counts = _kernels.replay_receipt(self, stream, self._lifo)
+        parcels = list(zip(origins, quantities, repeat(NO_PATH)))
         make = list if self._lifo else deque
-        start = 0
-        for v, m in enumerate(counts.tolist()):
-            self._buffers[v] = make(parcels[start : start + m])
-            start += m
-        self.totals = totals.tolist()
-        self.generated = generated.tolist()
-        self.cumulative_newborn = float(cum_nb)
-        self.entries = int(entries)
-        if self.entries > self.peak_entries:
-            self.peak_entries = self.entries
-        self.interactions_processed = len(stream)
+        self._buffers = [make(b) for b in _kernels.by_vertex(parcels, counts)]
         return self
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:

@@ -156,6 +156,15 @@ def test_groups(example_file, tmp_path, capsys):
     assert set(r["origin"] for r in rows) <= {"west", "east"}
 
 
+def test_groups_row_without_group_is_usage_error(example_file, tmp_path, capsys):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("v0,west\nv1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", example_file, "--policy", "prop-dense", "--groups", str(groups)])
+    assert exc.value.code == 2
+    assert "--groups line 2" in capsys.readouterr().err
+
+
 def test_window_and_unknown_label(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("".join(f"a,b,{t},1\n" for t in range(1, 9)))
@@ -213,6 +222,10 @@ def test_synth_then_run(tmp_path, capsys):
         ["run", "x.csv", "--budget", "C=0"],
         ["run", "x.csv", "--budget", "f=0.5"],
         ["run", "x.csv", "--snapshot-at", "sometimes"],
+        ["run", "x.csv", "--snapshot-at", "every-k=x"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--selective", "topk=x"],
+        ["run", "x.csv", "--epsilon", "nan"],
+        ["run", "x.csv", "--epsilon", "inf"],
         ["synth", "-", "--vertices", "1", "--interactions", "5"],
     ],
 )

@@ -1,9 +1,11 @@
 """Least/most-recently-born policies: golden table, oracle agreement, coalescing."""
 
+from collections import defaultdict
+
 import pytest
 from conftest import multiset, rand_stream
 
-from tinprov import GenTimeEngine, Interaction, Oracle, Policy
+from tinprov import GenTimeEngine, Interaction, Oracle, Policy, ReceiptEngine
 from tinprov import _kernels
 
 # (origin, birth_time, quantity) multisets after each example interaction
@@ -75,7 +77,8 @@ def assert_run_matches_process(most_recent):
 
 @pytest.mark.parametrize("most_recent", [False, True])
 def test_run_paths_agree(most_recent):
-    """process() and the pure-Python run() loop give one answer."""
+    """run() below the kernel's stream length, which replays through
+    process(), gives the same heaps as stepwise process()."""
     assert_run_matches_process(most_recent)
 
 
@@ -86,6 +89,24 @@ def test_kernel_agrees_with_process(most_recent, monkeypatch):
     assert _kernels.warmup()
     monkeypatch.setattr(_kernels, "MIN_STREAM", 1)
     assert_run_matches_process(most_recent)
+
+
+def test_kernel_takes_only_fresh_plain_replays(monkeypatch):
+    """The kernels start empty and keep no routes or merge maps, so run()
+    hands them only long, materialized streams for fresh plain engines."""
+    monkeypatch.setattr(_kernels, "MIN_STREAM", 3)
+    monkeypatch.setattr(_kernels, "warmup", lambda: True)
+    stream = rand_stream(5, 3, 0)
+    used = GenTimeEngine(5)
+    used.process(stream[0])
+    assert _kernels.accepts(GenTimeEngine(5), stream)
+    assert _kernels.accepts(ReceiptEngine(5, lifo=True), tuple(stream))
+    assert not _kernels.accepts(GenTimeEngine(5), stream[:2])
+    assert not _kernels.accepts(GenTimeEngine(5), iter(stream))
+    assert not _kernels.accepts(GenTimeEngine(5, coalesce=True), stream)
+    assert not _kernels.accepts(GenTimeEngine(5, track_paths=True), stream)
+    assert not _kernels.accepts(ReceiptEngine(5, track_paths=True), stream)
+    assert not _kernels.accepts(used, stream)
 
 
 def test_split_keeps_remainder_at_source():
@@ -115,6 +136,35 @@ def test_coalesce_merges_equal_origin_birth():
     assert len(plain.snapshot(1)) == 2
     assert merged.snapshot(1) == [(0, 1.0, 5.0)]
     assert merged.totals == plain.totals
+
+
+def by_origin_birth(snapshot):
+    """Quantity per (origin, birth) of a gentime snapshot."""
+    held = defaultdict(float)
+    for origin, birth, qty in snapshot:
+        held[origin, birth] += qty
+    return dict(held)
+
+
+@pytest.mark.parametrize("most_recent", [False, True])
+def test_coalesce_holds_what_plain_holds(most_recent):
+    """Coalescing merges parcels but moves the same mass: after every step
+    the touched buffers hold the same quantity per (origin, birth) as without
+    it, and run() builds the same heaps as stepwise process()."""
+    for seed in range(15):
+        stream = rand_stream(10, 300, seed, self_loops=True)
+        plain = GenTimeEngine(10, most_recent=most_recent)
+        merged = GenTimeEngine(10, most_recent=most_recent, coalesce=True)
+        for r in stream:
+            plain.process(r)
+            merged.process(r)
+            for v in (r.source, r.dest):
+                assert by_origin_birth(merged.snapshot(v)) == by_origin_birth(plain.snapshot(v))
+            assert merged.totals == plain.totals
+        ran = GenTimeEngine(10, most_recent=most_recent, coalesce=True).run(stream)
+        assert ran.buffers == merged.buffers
+        assert ran.entries == merged.entries
+        assert ran.peak_entries == merged.peak_entries
 
 
 def test_coalesce_with_paths_rejected():

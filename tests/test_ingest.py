@@ -43,15 +43,34 @@ def test_parse_rejects_bad_records():
         "a,b,3,0",         # non-positive quantity
         "a,b,4,-1",        # negative quantity
         "a,b,-1,2",        # negative time
+        "a,b,1,nan",       # non-finite quantity
+        "a,b,2,inf",
+        "a,b,3,-inf",
+        "a,b,nan,3",       # non-finite time
+        "a,b,inf,3",
         "a,b,5,2",
     ]
     _, stream, rejected = parse_stream(lines)
     assert len(stream) == 2
-    assert [r.line_no for r in rejected] == [2, 3, 4, 5, 6]
+    assert [r.line_no for r in rejected] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
     reasons = " ".join(r.reason for r in rejected)
     assert "expected 4 fields" in reasons
     assert "non-positive quantity" in reasons
     assert "negative time" in reasons
+    assert [r.reason for r in rejected[5:]] == [
+        "non-finite quantity nan",
+        "non-finite quantity inf",
+        "non-finite quantity -inf",
+        "non-finite time nan",
+        "non-finite time inf",
+    ]
+
+
+def test_parse_only_first_line_is_header():
+    table, stream, rejected = parse_stream(["src,dst,time,qty", "x,y,t1,q1", "a,b,1,2"])
+    assert [(r.line_no, r.reason) for r in rejected] == [(2, "non-numeric time/quantity")]
+    assert table.labels == ["a", "b"]
+    assert stream == [Interaction(0, 1, 1.0, 2.0)]
 
 
 def test_parse_self_loop_allowed():
