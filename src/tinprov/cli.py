@@ -12,7 +12,6 @@ from typing import Optional, Sequence, TextIO
 from .alerts import alert_scan
 from .core import (
     PROPORTIONAL_POLICIES,
-    UNKNOWN,
     UNKNOWN_LABEL,
     ConfigError,
     Policy,
@@ -94,21 +93,34 @@ def _int_option(parser, name: str, text: str, least: int) -> int:
     return value
 
 
-def _load_scope(args, topk: Optional[int], table: VertexTable, stream) -> Optional[ScopeMap]:
+def _open(parser, path: str, mode: str = "r") -> TextIO:
+    """``path`` opened as UTF-8 text, or a usage error that names it."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot open {path}: {exc.strerror or exc}")
+
+
+def _load_scope(
+    args, parser, topk: Optional[int], table: VertexTable, stream
+) -> Optional[ScopeMap]:
     if args.selective:
         if topk is not None:
             gen = generated_totals(stream, len(table))
             ranked = sorted(range(len(table)), key=lambda v: (-gen[v], v))
             tracked = ranked[:topk]
         else:
-            with open(args.selective, encoding="utf-8") as fh:
+            with _open(parser, args.selective) as fh:
                 labels = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            for label in labels:
+                if label not in table:
+                    raise ConfigError(f"--selective label {label!r} does not occur in the input")
             tracked = [table.index_of(label) for label in labels]
         return ScopeMap.selective(tracked, len(table), labels=table.labels)
     if args.groups:
         group_names: dict[str, int] = {}
         group_of: dict[int, int] = {}
-        with open(args.groups, encoding="utf-8") as fh:
+        with _open(parser, args.groups) as fh:
             rows = csv.reader(fh)
             for row in rows:
                 if not row or row[0].startswith("#"):
@@ -125,69 +137,50 @@ def _load_scope(args, topk: Optional[int], table: VertexTable, stream) -> Option
     return None
 
 
-def _origin_label(origin: int, table: VertexTable, scope: Optional[ScopeMap]) -> str:
-    if origin == UNKNOWN:
-        return UNKNOWN_LABEL
-    if scope is not None:
-        return scope.slot_labels[origin]
-    return table.label_of(origin)
-
-
 def _snapshot_rows(engine, table: VertexTable, scope, with_paths: bool, top: Optional[int]):
-    """Yield snapshot dicts with field order vertex,origin,quantity[,birth_time][,path]."""
-    eps = engine.epsilon
-    vertices = [v for v in range(engine.n_vertices) if engine.totals[v] > eps]
+    """The snapshot's column names, and its rows as a lazy iterable of tuples.
+
+    The columns are vertex,origin,quantity, then birth_time under lrb/mrb, or
+    path (the route's vertex labels joined by ``|``) with ``--paths``.
+    """
+    # UNKNOWN is -1, so it picks the sentinel label appended last.
+    label = [*table.labels, UNKNOWN_LABEL]
+    origin = label if scope is None else [*scope.slot_labels, UNKNOWN_LABEL]
+    totals = engine.totals
+    vertices = [v for v in range(engine.n_vertices) if totals[v] > engine.epsilon]
     if top is not None:
-        vertices = sorted(vertices, key=lambda v: -engine.totals[v])[:top]
-    for v in vertices:
-        vlabel = table.label_of(v)
-        if engine.policy is Policy.NOPROV:
-            yield {"vertex": vlabel, "origin": "", "quantity": engine.totals[v]}
-            continue
-        if with_paths:
-            for origin, qty, path in engine.snapshot_paths(v):
-                yield {
-                    "vertex": vlabel,
-                    "origin": table.label_of(origin),
-                    "quantity": qty,
-                    "path": "|".join(table.label_of(x) for x in path),
-                }
-            continue
-        for item in engine.snapshot(v):
-            if len(item) == 3:  # (origin, birth_time, quantity)
-                origin, birth, qty = item
-                yield {
-                    "vertex": vlabel,
-                    "origin": table.label_of(origin),
-                    "quantity": qty,
-                    "birth_time": birth,
-                }
-            else:
-                origin, qty = item
-                yield {
-                    "vertex": vlabel,
-                    "origin": _origin_label(origin, table, scope),
-                    "quantity": qty,
-                }
+        vertices = sorted(vertices, key=lambda v: -totals[v])[:top]
+    fields = ("vertex", "origin", "quantity")
+    if engine.policy is Policy.NOPROV:
+        rows = ((label[v], "", totals[v]) for v in vertices)
+    elif with_paths:
+        fields += ("path",)
+        rows = (
+            (label[v], origin[o], q, "|".join([label[x] for x in path]))
+            for v in vertices
+            for o, q, path in engine.snapshot_paths(v)
+        )
+    elif engine.policy in (Policy.LEAST_RECENTLY_BORN, Policy.MOST_RECENTLY_BORN):
+        fields += ("birth_time",)
+        rows = ((label[v], origin[o], q, b) for v in vertices for o, b, q in engine.snapshot(v))
+    else:
+        rows = ((label[v], origin[o], q) for v in vertices for o, q in engine.snapshot(v))
+    return fields, rows
 
 
-def _emit(rows, fmt: str, out: TextIO, header: Optional[str] = None) -> None:
-    rows = list(rows)
+def _emit(snapshot, fmt: str, out: TextIO, header: Optional[str] = None) -> None:
+    """Write a ``(fields, rows)`` snapshot as CSV, or as JSON objects keyed by field."""
+    fields, rows = snapshot
     if fmt == "json":
+        rows = [dict(zip(fields, row)) for row in rows]
         out.write(json.dumps({"after": header, "rows": rows} if header else rows))
         out.write("\n")
         return
     if header:
         out.write(f"# {header}\n")
-    fields = ["vertex", "origin", "quantity"]
-    if any("birth_time" in r for r in rows):
-        fields.append("birth_time")
-    if any("path" in r for r in rows):
-        fields.append("path")
-    writer = csv.DictWriter(out, fieldnames=fields)
-    writer.writeheader()
-    for r in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in r.items()})
+    writer = csv.writer(out)
+    writer.writerow(fields)
+    writer.writerows(rows)
 
 
 def cmd_run(args, parser) -> int:
@@ -205,6 +198,8 @@ def cmd_run(args, parser) -> int:
     topk = None
     if args.selective and args.selective.startswith("topk="):
         topk = _int_option(parser, "--selective topk", args.selective[5:], 0)
+    if args.top is not None and args.top < 0:
+        parser.error(f"--top must be an integer >= 0, got {args.top}")
     if args.alert_threshold is not None:
         if policy not in PROPORTIONAL_POLICIES:
             parser.error("--alert-threshold requires a proportional policy")
@@ -226,7 +221,7 @@ def cmd_run(args, parser) -> int:
     if args.input == "-":
         table, stream, rejected = parse_stream(sys.stdin)
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with _open(parser, args.input) as fh:
             table, stream, rejected = parse_stream(fh)
     for rec in rejected:
         print(f"line {rec.line_no}: rejected ({rec.reason}): {rec.line}", file=sys.stderr)
@@ -236,12 +231,16 @@ def cmd_run(args, parser) -> int:
     stream = sort_check(stream)
 
     try:
-        scope = cfg.scope = _load_scope(args, topk, table, stream)
+        scope = cfg.scope = _load_scope(args, parser, topk, table, stream)
         engine = build_engine(cfg, len(table))
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         parser.error(str(exc))
 
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    out = sys.stdout if args.output == "-" else _open(parser, args.output, "w")
+
+    def emit(header: Optional[str] = None) -> None:
+        _emit(_snapshot_rows(engine, table, scope, args.paths, args.top), args.format, out, header)
+
     try:
         alerts = []
         started = time.perf_counter()
@@ -251,23 +250,14 @@ def cmd_run(args, parser) -> int:
             for i, r in enumerate(stream, start=1):
                 engine.process(r)
                 if i % every_k == 0:
-                    _emit(
-                        _snapshot_rows(engine, table, scope, args.paths, args.top),
-                        args.format,
-                        out,
-                        header=f"after interaction {i}",
-                    )
+                    emit(f"after interaction {i}")
         else:
             engine.run(stream)
         wall = time.perf_counter() - started
-        if every_k is None or (stream and len(stream) % every_k != 0):
-            header = f"after interaction {len(stream)}" if every_k is not None else None
-            _emit(
-                _snapshot_rows(engine, table, scope, args.paths, args.top),
-                args.format,
-                out,
-                header=header,
-            )
+        if every_k is None:
+            emit()
+        elif len(stream) % every_k:
+            emit(f"after interaction {len(stream)}")
         for a in alerts:
             print(
                 f"alert: index={a.index} vertex={table.label_of(a.vertex)} "
@@ -289,7 +279,7 @@ def cmd_synth(args, parser) -> int:
     if args.output == "-":
         write_stream(sys.stdout, stream)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open(parser, args.output, "w") as fh:
             write_stream(fh, stream)
     return 0
 

@@ -62,13 +62,73 @@ def test_run_noprov_default(example_file, capsys):
     }
 
 
-def test_json_format(example_file, capsys):
-    code, out, _ = run_cli(["run", example_file, "--policy", "fifo", "--format", "json"], capsys)
+@pytest.mark.parametrize(
+    "options, text",
+    [
+        (
+            ["--policy", "lrb"],
+            "vertex,origin,quantity,birth_time\r\n"
+            "v1,v1,2.0,1.0\r\n"
+            "v2,v1,4.0,5.0\r\n"
+            "v0,v1,1.0,1.0\r\n"
+            "v0,v2,2.0,3.0\r\n",
+        ),
+        (
+            ["--policy", "lifo", "--paths"],
+            "vertex,origin,quantity,path\r\n"
+            "v1,v1,2.0,v1\r\n"
+            "v2,v1,1.0,v1|v2|v1\r\n"
+            "v2,v2,2.0,v2|v0|v1\r\n"
+            "v2,v1,1.0,v1\r\n"
+            "v0,v1,2.0,v1|v2\r\n"
+            "v0,v1,1.0,v1\r\n",
+        ),
+        (
+            ["--policy", "prop-sparse", "--window", "2"],
+            "vertex,origin,quantity\r\n"
+            "v1,<unknown>,2.0\r\n"
+            "v2,<unknown>,4.0\r\n"
+            "v0,<unknown>,3.0\r\n",
+        ),
+    ],
+    ids=["lrb", "lifo-paths", "prop-sparse-window"],
+)
+def test_exact_output(example_file, capsys, options, text):
+    code, out, _ = run_cli(["run", example_file, *options], capsys)
+    assert code == 0
+    assert out == text
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--policy", "fifo"], ["--policy", "lrb"], ["--policy", "lifo", "--paths"]],
+    ids=["fifo", "lrb", "lifo-paths"],
+)
+def test_json_format(example_file, capsys, options):
+    _, out, _ = run_cli(["run", example_file, *options], capsys)
+    header = out.splitlines()[0].split(",")
+    code, out, _ = run_cli(["run", example_file, *options, "--format", "json"], capsys)
     assert code == 0
     rows = json.loads(out)
     assert isinstance(rows, list)
     assert sum(r["quantity"] for r in rows) == pytest.approx(9.0)
-    assert all(set(r) == {"vertex", "origin", "quantity"} for r in rows)
+    assert rows and all(list(r) == header for r in rows)
+
+
+@pytest.mark.parametrize(
+    "options, header",
+    [
+        (["--policy", "lrb"], "vertex,origin,quantity,birth_time"),
+        (["--policy", "lifo", "--paths"], "vertex,origin,quantity,path"),
+    ],
+    ids=["lrb", "lifo-paths"],
+)
+def test_empty_snapshot_header(tmp_path, capsys, options, header):
+    path = tmp_path / "empty.csv"
+    path.write_text("# no interactions\n")
+    code, out, _ = run_cli(["run", str(path), *options], capsys)
+    assert code == 0
+    assert out == header + "\r\n"
 
 
 def test_output_file(example_file, tmp_path, capsys):
@@ -144,6 +204,16 @@ def test_selective_file(example_file, tmp_path, capsys):
     rows = parse_csv(out)
     assert set(r["origin"] for r in rows) <= {"v2", "<rest>"}
     assert any(r["origin"] == "v2" for r in rows)
+
+
+def test_selective_file_unknown_label(example_file, tmp_path, capsys):
+    sel = tmp_path / "tracked.txt"
+    sel.write_text("v2\nzz\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", example_file, "--policy", "prop-dense", "--selective", str(sel)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'zz'" in err and "does not occur in the input" in err
 
 
 def test_groups(example_file, tmp_path, capsys):
@@ -227,13 +297,14 @@ def test_synth_then_run(tmp_path, capsys):
         ["run", "x.csv", "--epsilon", "nan"],
         ["run", "x.csv", "--epsilon", "inf"],
         ["synth", "-", "--vertices", "1", "--interactions", "5"],
+        ["run", "x.csv", "--top", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "cannot open" not in capsys.readouterr().err  # refused before x.csv is read
 
 
 def test_config_errors_reported_as_usage(example_file, capsys):
@@ -241,3 +312,26 @@ def test_config_errors_reported_as_usage(example_file, capsys):
         main(["run", example_file, "--policy", "fifo", "--window", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["{missing}"],
+        ["{example}", "--policy", "prop-dense", "--selective", "{missing}"],
+        ["{example}", "--policy", "prop-dense", "--groups", "{missing}"],
+        ["{example}", "--output", "{missing_dir}/snap.csv"],
+    ],
+    ids=["input", "selective", "groups", "output"],
+)
+def test_unreadable_path_is_usage_error(example_file, tmp_path, capsys, options):
+    names = {
+        "example": example_file,
+        "missing": str(tmp_path / "nope.csv"),
+        "missing_dir": str(tmp_path / "nope"),
+    }
+    argv = [opt.format(**names) for opt in options]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *argv])
+    assert exc.value.code == 2
+    assert f"cannot open {argv[-1]}" in capsys.readouterr().err
