@@ -26,7 +26,6 @@ from .proportional import (
     ProportionalDenseEngine,
     ProportionalSparseEngine,
     densify,
-    sparse_merge,
 )
 from .receipt import ReceiptEngine
 from .report import RunReport, build_report
@@ -64,7 +63,6 @@ __all__ = [
     "RunReport",
     "ScopeMap",
     "sort_check",
-    "sparse_merge",
     "synth_stream",
     "TinError",
     "UNKNOWN",

@@ -218,11 +218,17 @@ def cmd_run(args, parser) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
 
-    if args.input == "-":
-        table, stream, rejected = parse_stream(sys.stdin)
-    else:
-        with _open(parser, args.input) as fh:
-            table, stream, rejected = parse_stream(fh)
+    try:
+        if args.input == "-":
+            # input is UTF-8 like a named file, whatever the locale's error handler
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            table, stream, rejected = parse_stream(sys.stdin)
+        else:
+            with _open(parser, args.input) as fh:
+                table, stream, rejected = parse_stream(fh)
+    except UnicodeDecodeError as exc:
+        name = "standard input" if args.input == "-" else args.input
+        parser.error(f"cannot read {name}: not valid UTF-8 ({exc.reason})")
     for rec in rejected:
         print(f"line {rec.line_no}: rejected ({rec.reason}): {rec.line}", file=sys.stderr)
     if rejected and args.strict:

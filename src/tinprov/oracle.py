@@ -114,9 +114,10 @@ class Oracle:
         vs = self.vectors[s]
         vd = self.vectors[d]
         if rq >= bs:
+            moved = list(vs)  # vs is vd on a self-interaction
             for i in range(self.n_vertices):
-                vd[i] += vs[i]
                 vs[i] = 0.0
+                vd[i] += moved[i]
             vd[s] += rq - bs
         else:
             alpha = rq / bs

@@ -6,8 +6,8 @@ in two representations with identical semantics:
 
 * dense — a contiguous float array per vertex, one slot per tracked origin,
   updated with plain array arithmetic (data-parallel friendly);
-* sparse — a list of (origin, amount) pairs strictly sorted by origin index,
-  updated by merging sorted lists.
+* sparse — a dict per vertex from origin slot to amount, updated in place;
+  a snapshot lists its entries sorted by origin.
 
 Entries whose amount falls to the dust threshold (``epsilon``) are dropped
 from sparse vectors.  When a scope mechanism is active the dropped mass is
@@ -17,63 +17,13 @@ diagnostic.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import UNKNOWN, EngineBase, Interaction, Policy
 
-SparseVec = list  # list[tuple[int, float]], sorted by origin
-
-
-def sparse_merge(
-    a: Sequence[tuple[int, float]],
-    b: Sequence[tuple[int, float]],
-    scale: float = 1.0,
-    epsilon: float = 0.0,
-    fold_dust: bool = False,
-) -> tuple[SparseVec, float]:
-    """Merge two sorted (origin, amount) lists into ``a ⊕ scale·b``.
-
-    Returns ``(merged, dropped)`` where ``dropped`` is the mass of entries
-    that fell at or below ``epsilon`` and were discarded.  With ``fold_dust``
-    that mass is moved to the UNKNOWN entry instead and ``dropped`` is 0.
-    Inputs must be strictly sorted by origin (internal consistency; checked
-    with assertions).
-    """
-    out: SparseVec = []
-    dropped = 0.0
-    dust = 0.0
-    i, j = 0, 0
-    na, nb = len(a), len(b)
-    last = None
-    while i < na or j < nb:
-        if j >= nb or (i < na and a[i][0] < b[j][0]):
-            o, amt = a[i]
-            i += 1
-        elif i >= na or b[j][0] < a[i][0]:
-            o, amt = b[j][0], b[j][1] * scale
-            j += 1
-        else:
-            o = a[i][0]
-            amt = a[i][1] + b[j][1] * scale
-            i += 1
-            j += 1
-        assert last is None or o > last, "sparse vector not strictly sorted"
-        last = o
-        if amt <= epsilon:
-            if fold_dust:
-                dust += amt
-            else:
-                dropped += amt
-            continue
-        out.append((o, amt))
-    if dust > 0.0:
-        if out and out[0][0] == UNKNOWN:
-            out[0] = (UNKNOWN, out[0][1] + dust)
-        else:
-            out.insert(0, (UNKNOWN, dust))
-    return out, dropped
+SparseVec = dict  # dict[int, float]: origin slot -> amount
 
 
 def densify(entries: Sequence[tuple[int, float]], n_slots: int) -> list[float]:
@@ -128,7 +78,7 @@ class ProportionalDenseEngine(EngineBase):
 
 
 class ProportionalSparseEngine(EngineBase):
-    """Proportional policy over sorted sparse provenance lists."""
+    """Proportional policy over sparse origin→amount provenance maps."""
 
     policy = Policy.PROP_SPARSE
 
@@ -138,42 +88,38 @@ class ProportionalSparseEngine(EngineBase):
         self.budget = budget
         self._slot_of = scope.slot_of if scope is not None else list(range(n_vertices))
         self._fold_dust = scope is not None or budget is not None
-        self.vectors: list[SparseVec] = [[] for _ in range(n_vertices)]
+        self.vectors: list[SparseVec] = [{} for _ in range(n_vertices)]
         self.dropped = [0.0] * n_vertices
         self.shrinks = [0] * n_vertices
 
     def process(self, r: Interaction) -> None:
         s, d = r.source, r.dest
-        before = len(self.vectors[s]) + (len(self.vectors[d]) if d != s else 0)
-        shrink = None
-        budget = self.budget
-        if budget is not None:
-            shrink = lambda merged: (
-                budget.shrink(merged) if len(merged) > budget.capacity else merged
-            )
-        shrunk = _transfer(
-            self.vectors,
+        vectors = self.vectors
+        before = len(vectors[s]) + (len(vectors[d]) if d != s else 0)
+        _transfer(
+            vectors,
             self.dropped,
             r,
             self._slot_of[s],
             self.totals[s],
             self.epsilon,
             self._fold_dust,
-            shrink,
         )
-        if shrunk:
+        budget = self.budget
+        if budget is not None and len(vectors[d]) > budget.capacity:
+            vectors[d] = dict(budget.shrink(vectors[d].items()))
             self.shrinks[d] += 1
-        after = len(self.vectors[s]) + (len(self.vectors[d]) if d != s else 0)
+        after = len(vectors[s]) + (len(vectors[d]) if d != s else 0)
         self.entries += after - before
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
         self._settle(r)
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
-        """The vertex's sparse provenance entries (origin, amount)."""
+        """The vertex's sparse provenance entries (origin, amount), sorted by origin."""
         if not 0 <= v < self.n_vertices:
             return []
-        return list(self.vectors[v])
+        return sorted(self.vectors[v].items())
 
     def total_dropped(self) -> float:
         return sum(self.dropped)
@@ -187,32 +133,49 @@ def _transfer(
     source_total: float,
     epsilon: float,
     fold_dust: bool,
-    shrink: Optional[Callable[[SparseVec], SparseVec]] = None,
-) -> bool:
+) -> None:
     """Apply one interaction to a bank of sparse vectors; see module doc."""
     s, d, rq = r.source, r.dest, r.quantity
     vs = vectors[s]
     if rq >= source_total - epsilon:
-        incoming = vs
+        vectors[s] = {}
         newborn = rq - source_total
         if newborn > 0.0:
-            incoming, drp = sparse_merge(
-                incoming, ((slot_source, newborn),), 1.0, epsilon, fold_dust
-            )
-            dropped[d] += drp
-        vectors[s] = []
-    else:
-        alpha = rq / source_total
-        incoming = [(o, q * alpha) for o, q in vs]
-        residual, drp = sparse_merge((), vs, 1.0 - alpha, epsilon, fold_dust)
-        dropped[s] += drp
-        vectors[s] = residual
-    merged, drp = sparse_merge(vectors[d], incoming, 1.0, epsilon, fold_dust)
-    dropped[d] += drp
-    shrunk = False
-    if shrink is not None:
-        reduced = shrink(merged)
-        shrunk = reduced is not merged
-        merged = reduced
-    vectors[d] = merged
-    return shrunk
+            q = vs.get(slot_source, 0.0) + newborn
+            if q > epsilon:
+                vs[slot_source] = q
+            else:
+                _dust(vs, q, dropped, d, fold_dust)
+        vd = vectors[d]
+        for o, q in vs.items():
+            vd[o] = vd.get(o, 0.0) + q
+        return
+    alpha = rq / source_total
+    keep = 1.0 - alpha
+    residual: SparseVec = {}
+    dust = 0.0
+    for o, q in vs.items():
+        q *= keep
+        if q > epsilon or o == UNKNOWN:
+            residual[o] = q
+        else:
+            dust += q
+    _dust(residual, dust, dropped, s, fold_dust)
+    vectors[s] = residual
+    vd = vectors[d]  # the residual itself on a self-interaction
+    dust = 0.0
+    for o, q in vs.items():
+        q = vd.get(o, 0.0) + q * alpha
+        if q > epsilon or o == UNKNOWN:
+            vd[o] = q
+        else:
+            dust += q
+    _dust(vd, dust, dropped, d, fold_dust)
+
+
+def _dust(vec: SparseVec, mass: float, dropped: list[float], v: int, fold_dust: bool) -> None:
+    """Fold dust into the vector's UNKNOWN entry, or book it as dropped at ``v``."""
+    if not fold_dust:
+        dropped[v] += mass
+    elif mass > 0.0:
+        vec[UNKNOWN] = vec.get(UNKNOWN, 0.0) + mass

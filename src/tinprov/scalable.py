@@ -7,7 +7,7 @@ Four independent alternatives:
 * grouped — track origins at the granularity of m vertex groups;
 * windowing — two sparse vectors per vertex with alternating resets, which
   guarantees exact attribution for mass born within the last W interactions;
-* budget — cap every sparse list at C entries; on overflow keep the best
+* budget — cap every sparse vector at C entries; on overflow keep the best
   ``⌊f·C⌋`` entries and fold the evicted mass into the UNKNOWN entry.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     REST_LABEL,
@@ -25,7 +25,7 @@ from .core import (
     Interaction,
     Policy,
 )
-from .proportional import SparseVec, _transfer, sparse_merge
+from .proportional import SparseVec, _transfer
 
 
 class ScopeMap:
@@ -85,7 +85,7 @@ class ScopeMap:
 
 @dataclass
 class BudgetSpec:
-    """Per-vertex capacity for sparse provenance lists.
+    """Per-vertex capacity for sparse provenance vectors.
 
     On overflow, ``⌊keep_fraction·capacity⌋`` real entries are retained (the
     UNKNOWN entry is always kept on top of that) and the evicted mass moves
@@ -103,8 +103,8 @@ class BudgetSpec:
         if not 0.0 < self.keep_fraction < 1.0:
             raise ConfigError("keep fraction must be in (0, 1)")
 
-    def shrink(self, entries: SparseVec) -> SparseVec:
-        """Cut an over-capacity list down; total mass is preserved exactly."""
+    def shrink(self, entries: Iterable[tuple[int, float]]) -> list[tuple[int, float]]:
+        """Cut over-capacity pairs down to a sorted list; total mass is preserved exactly."""
         unknown_mass = 0.0
         real: list[tuple[int, float]] = []
         for o, q in entries:
@@ -127,26 +127,28 @@ class BudgetSpec:
 
 
 def budget_shrink(
-    p: SparseVec,
+    p: Sequence[tuple[int, float]],
     new_entries: Sequence[tuple[int, float]],
     spec: BudgetSpec,
-) -> SparseVec:
+) -> list[tuple[int, float]]:
     """Merge new entries into a sparse vector under a capacity budget.
 
-    A merge that fits within the capacity is a plain sorted merge; otherwise
-    the result is shrunk per the spec's keep criterion.
+    A merge that fits within the capacity is returned sorted by origin;
+    otherwise the result is shrunk per the spec's keep criterion.
     """
-    merged, _ = sparse_merge(p, new_entries, 1.0)
+    merged = dict(p)
+    for o, q in new_entries:
+        merged[o] = merged.get(o, 0.0) + q
     if len(merged) <= spec.capacity:
-        return merged
-    return spec.shrink(merged)
+        return sorted(merged.items())
+    return spec.shrink(merged.items())
 
 
 class WindowedProportionalEngine(EngineBase):
     """Sparse proportional tracking with the odd/even double-vector scheme.
 
     Both vector banks receive every update.  After interaction number n (a
-    multiple of W) one bank is reset to ``[(UNKNOWN, |B_v|)]`` for all v: the
+    multiple of W) one bank is reset to ``{UNKNOWN: |B_v|}`` for all v: the
     odd bank at odd multiples of W, the even bank at even multiples.  Queries
     are served from the least recently reset bank, so mass born within the
     last W interactions is always attributed to its true origin.
@@ -159,8 +161,8 @@ class WindowedProportionalEngine(EngineBase):
         if window < 1:
             raise ConfigError("window must be a positive interaction count")
         self.window = window
-        self.odd: list[SparseVec] = [[] for _ in range(n_vertices)]
-        self.even: list[SparseVec] = [[] for _ in range(n_vertices)]
+        self.odd: list[SparseVec] = [{} for _ in range(n_vertices)]
+        self.even: list[SparseVec] = [{} for _ in range(n_vertices)]
         self.dropped = [0.0] * n_vertices
         self.counter = 0
         self._odd_reset_at = 0
@@ -184,7 +186,7 @@ class WindowedProportionalEngine(EngineBase):
             kept = 0
             for v in range(self.n_vertices):
                 total = self.totals[v]
-                bank[v] = [(UNKNOWN, total)] if total > self.epsilon else []
+                bank[v] = {UNKNOWN: total} if total > self.epsilon else {}
                 kept += len(bank[v])
             self.entries += kept - freed
             if multiple % 2 == 1:
@@ -192,13 +194,13 @@ class WindowedProportionalEngine(EngineBase):
             else:
                 self._even_reset_at = self.counter
 
-    def query(self, v: int) -> SparseVec:
-        """Provenance entries from the least recently reset vector bank."""
+    def query(self, v: int) -> list[tuple[int, float]]:
+        """Provenance entries from the least recently reset vector bank, sorted by origin."""
         if not 0 <= v < self.n_vertices:
             return []
         if self._odd_reset_at <= self._even_reset_at:
-            return list(self.odd[v])
-        return list(self.even[v])
+            return sorted(self.odd[v].items())
+        return sorted(self.even[v].items())
 
     snapshot = query
 

@@ -278,9 +278,9 @@ def test_criterion_10_budget_bounds():
         checked = ProportionalSparseEngine(1000, budget=BudgetSpec(cap))
         for r in stream:
             checked.process(r)
-            assert len(checked.vectors[r.source]) <= cap
-            assert len(checked.vectors[r.dest]) <= cap
-        assert all(len(vec) <= cap for vec in checked.vectors)
+            assert len(checked.snapshot(r.source)) <= cap
+            assert len(checked.snapshot(r.dest)) <= cap
+        assert all(len(checked.snapshot(v)) <= cap for v in range(1000))
     assert elapsed < 30.0
 
     # lower-bound soundness against the exact dense attribution, downscaled
@@ -292,7 +292,7 @@ def test_criterion_10_budget_bounds():
         exact.process(r)
         for v in {r.source, r.dest}:
             dense_row = densify(exact.snapshot(v), 50)
-            for origin, qty in capped.vectors[v]:
+            for origin, qty in capped.snapshot(v):
                 if origin != UNKNOWN:
                     assert qty <= dense_row[origin] + 1e-9
 

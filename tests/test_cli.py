@@ -335,3 +335,25 @@ def test_unreadable_path_is_usage_error(example_file, tmp_path, capsys, options)
         main(["run", *argv])
     assert exc.value.code == 2
     assert f"cannot open {argv[-1]}" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"a,b,1,3\n\xff\xfe,c,2,1\n"
+
+
+def test_non_utf8_input_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot read {path}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_stdin_is_usage_error(monkeypatch, capsys):
+    # a C or POSIX locale gives stdin the surrogateescape error handler
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-"])
+    assert exc.value.code == 2
+    assert "cannot read standard input: not valid UTF-8" in capsys.readouterr().err
