@@ -6,6 +6,10 @@
  * binary heaps in one index arena.  The heap code follows CPython's heapq
  * step for step, so each heap has the layout the pure-Python engine builds.
  *
+ * A self-interaction selects only among the parcels present before it: each
+ * kernel parks the selection on a spare buffer (index nv) and moves it to the
+ * destination, in selection order, once selection ends.
+ *
  * Both kernels end by writing every vertex's parcels in buffer order, vertex
  * by vertex, with counts[v] parcels for vertex v.  They return the number of
  * live parcels, or -1 when memory runs out.
@@ -61,10 +65,13 @@ int64_t replay_receipt(int64_t n, const int64_t *src, const int64_t *dst, const 
         nalloc = -1;
         goto done;
     }
-    for (int64_t v = 0; v < nv; v++)
+    for (int64_t v = 0; v <= nv; v++)
         head[v] = tail[v] = -1;
     for (int64_t i = 0; i < n; i++) {
         int64_t s = src[i], d = dst[i];
+        /* the spare list nv is always a queue, so it keeps selection order */
+        int64_t to = s == d ? nv : d;
+        int to_lifo = s == d ? 0 : lifo;
         double resq = qty[i];
         while (resq > 0.0 && head[s] >= 0) {
             int64_t h = head[s];
@@ -75,16 +82,22 @@ int64_t replay_receipt(int64_t n, const int64_t *src, const int64_t *dst, const 
                 int64_t j = nalloc++;
                 porig[j] = porig[h];
                 pqty[j] = resq;
-                put(j, d, lifo, next, head, tail);
+                put(j, to, to_lifo, next, head, tail);
                 resq = 0.0;
             } else {
                 head[s] = next[h];
                 if (head[s] < 0)
                     tail[s] = -1;
-                put(h, d, lifo, next, head, tail);
+                put(h, to, to_lifo, next, head, tail);
                 resq -= tq;
             }
         }
+        while (head[nv] >= 0) {
+            int64_t j = head[nv];
+            head[nv] = next[j];
+            put(j, d, lifo, next, head, tail);
+        }
+        tail[nv] = -1;
         if (resq > 0.0) {
             int64_t j = nalloc++;
             porig[j] = s;
@@ -166,6 +179,17 @@ typedef struct {
     int64_t *off, *sz, *cap;
 } arena;
 
+/* heapq.heappop: remove the root of v's heap. */
+static void pop(arena *A, int64_t v, const order *o)
+{
+    int64_t *h = A->a + A->off[v];
+    int64_t m = --A->sz[v];
+    if (m > 0) {
+        h[0] = h[m];
+        sift_from_root(h, m, o);
+    }
+}
+
 /* Push parcel j onto d's heap, moving d's span to a doubled one when full. */
 static int push(arena *A, int64_t d, int64_t j, const order *o)
 {
@@ -211,10 +235,10 @@ int64_t replay_gentime(int64_t n, const int64_t *src, const int64_t *dst, const 
         goto fail;
     for (int64_t i = 0; i < n; i++) {
         int64_t s = src[i], d = dst[i];
+        int64_t to = s == d ? nv : d;
         double resq = qty[i];
         while (resq > 0.0 && A.sz[s] > 0) {
-            int64_t *h = A.a + A.off[s];
-            int64_t top = h[0];
+            int64_t top = A.a[A.off[s]];
             double tq = pqty[top];
             if (tq - resq > eps) {
                 /* split: the remainder keeps its heap slot at the source */
@@ -227,14 +251,17 @@ int64_t replay_gentime(int64_t n, const int64_t *src, const int64_t *dst, const 
                 resq = 0.0;
                 top = j;
             } else {
-                int64_t m = --A.sz[s];
-                if (m > 0) {
-                    h[0] = h[m];
-                    sift_from_root(h, m, &o);
-                }
+                pop(&A, s, &o);
                 resq -= tq;
             }
-            if (push(&A, d, top, &o))
+            if (push(&A, to, top, &o))
+                goto fail;
+        }
+        /* the spare heap pops in selection order, which is ascending order */
+        while (A.sz[nv] > 0) {
+            int64_t j = A.a[A.off[nv]];
+            pop(&A, nv, &o);
+            if (push(&A, d, j, &o))
                 goto fail;
         }
         if (resq > 0.0) {

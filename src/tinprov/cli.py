@@ -101,6 +101,15 @@ def _open(parser, path: str, mode: str = "r") -> TextIO:
         parser.error(f"cannot open {path}: {exc.strerror or exc}")
 
 
+def _read_lines(parser, path: str) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, or a usage error that names it."""
+    with _open(parser, path) as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            parser.error(f"cannot read {path}: not valid UTF-8 ({exc.reason})")
+
+
 def _load_scope(
     args, parser, topk: Optional[int], table: VertexTable, stream
 ) -> Optional[ScopeMap]:
@@ -110,8 +119,8 @@ def _load_scope(
             ranked = sorted(range(len(table)), key=lambda v: (-gen[v], v))
             tracked = ranked[:topk]
         else:
-            with _open(parser, args.selective) as fh:
-                labels = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = _read_lines(parser, args.selective)
+            labels = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
             for label in labels:
                 if label not in table:
                     raise ConfigError(f"--selective label {label!r} does not occur in the input")
@@ -120,19 +129,18 @@ def _load_scope(
     if args.groups:
         group_names: dict[str, int] = {}
         group_of: dict[int, int] = {}
-        with _open(parser, args.groups) as fh:
-            rows = csv.reader(fh)
-            for row in rows:
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) < 2:
-                    raise ConfigError(
-                        f"--groups line {rows.line_num}: expected vertex_label,group_label"
-                    )
-                label, group = row[0].strip(), row[1].strip()
-                gid = group_names.setdefault(group, len(group_names))
-                if label in table:
-                    group_of[table.index_of(label)] = gid
+        rows = csv.reader(_read_lines(parser, args.groups))
+        for row in rows:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) < 2:
+                raise ConfigError(
+                    f"--groups line {rows.line_num}: expected vertex_label,group_label"
+                )
+            label, group = row[0].strip(), row[1].strip()
+            gid = group_names.setdefault(group, len(group_names))
+            if label in table:
+                group_of[table.index_of(label)] = gid
         return ScopeMap.grouped(group_of, len(table), group_labels=list(group_names))
     return None
 

@@ -4,7 +4,8 @@ Each buffer is a binary heap of parcels keyed on generation time (min-heap
 for least-recently-born, max-heap for most-recently-born).  A transfer
 drains parcels from the extreme of the source heap until the requested
 quantity is covered; the last parcel may be split, and any shortfall is
-generated as a newborn parcel at the source.
+generated as a newborn parcel at the source.  A self-interaction follows the
+rule stated in ``receipt``: it selects only among the parcels held before it.
 
 Heap entries are mutable lists ``[key, origin, seq, birth_time, quantity,
 path]``.  ``key`` is the signed birth time, ``seq`` is a creation sequence
@@ -39,7 +40,6 @@ class GenTimeEngine(EngineBase):
         epsilon: float = 1e-9,
         track_paths: bool = False,
         coalesce: bool = False,
-        path_store: Optional[PathStore] = None,
     ) -> None:
         super().__init__(n_vertices, epsilon)
         if coalesce and track_paths:
@@ -48,62 +48,61 @@ class GenTimeEngine(EngineBase):
         self.coalesce = coalesce
         self._sign = -1.0 if most_recent else 1.0
         self.buffers: list[list[list]] = [[] for _ in range(n_vertices)]
-        self.paths: Optional[PathStore] = None
-        if track_paths:
-            self.paths = path_store if path_store is not None else PathStore()
+        self.paths: Optional[PathStore] = PathStore() if track_paths else None
         self._merge_maps: Optional[list[dict]] = (
             [{} for _ in range(n_vertices)] if coalesce else None
         )
         self._seq = 0
 
-    def _add(self, v: int, origin: int, birth: float, qty: float, path: int, seq: int = -1) -> None:
-        if self._merge_maps is not None:
-            live = self._merge_maps[v]
-            existing = live.get((origin, birth))
-            if existing is not None:
-                existing[_QTY] += qty
-                return
-        if seq < 0:
-            seq = self._seq
-            self._seq += 1
-        entry = [self._sign * birth, origin, seq, birth, qty, path]
-        heappush(self.buffers[v], entry)
-        if self._merge_maps is not None:
-            self._merge_maps[v][(origin, birth)] = entry
-        self.entries += 1
-
     def process(self, r: Interaction) -> None:
         s = r.source
         src = self.buffers[s]
-        dst = self.buffers[r.dest]
         eps = self.epsilon
         paths = self.paths
         merge = self._merge_maps
+        moved = []
         resq = r.quantity
         while resq > 0.0 and src:
             top = src[0]
             tq = top[_QTY]
             if tq - resq > eps:
-                # split: the remainder stays at the source, the copy keeps
-                # the parcel's (origin, birth) and route so far
+                # split: the remainder keeps its heap slot, and a copy with the
+                # parcel's (origin, birth) and route travels under a new seq
                 top[_QTY] = tq - resq
-                self._add(r.dest, top[_ORIGIN], top[_BIRTH], resq, top[_PATH])
-                resq = 0.0
+                top = [top[_KEY], top[_ORIGIN], self._seq, top[_BIRTH], resq, top[_PATH]]
+                self._seq += 1
+                self.entries += 1
+                tq = resq
             else:
-                # whole move: the popped entry itself joins the destination
+                # whole move: the popped entry itself travels, keeping its seq
                 heappop(src)
-                resq -= tq
-                if paths is not None:
-                    top[_PATH] = paths.extend(top[_PATH], s)
-                if merge is None:
-                    heappush(dst, top)
-                else:
-                    del merge[s][(top[_ORIGIN], top[_BIRTH])]
-                    self.entries -= 1
-                    self._add(r.dest, top[_ORIGIN], top[_BIRTH], tq, top[_PATH], seq=top[_SEQ])
+                if merge is not None:
+                    del merge[s][top[_ORIGIN], top[_BIRTH]]
+            if paths is not None:
+                top[_PATH] = paths.extend(top[_PATH], s)
+            moved.append(top)
+            resq -= tq
         if resq > 0.0:
             path = paths.birth(s) if paths is not None else NO_PATH
-            self._add(r.dest, s, r.time, resq, path)
+            moved.append([self._sign * r.time, s, self._seq, r.time, resq, path])
+            self._seq += 1
+            self.entries += 1
+        # the parcels join the destination only now, in selection order and
+        # the newborn last, so a self-interaction selects among the parcels
+        # present before it
+        dst = self.buffers[r.dest]
+        live = merge[r.dest] if merge is not None else None
+        for entry in moved:
+            if live is not None:
+                # coalescing: merge into the parcel of equal (origin, birth)
+                key = (entry[_ORIGIN], entry[_BIRTH])
+                existing = live.get(key)
+                if existing is not None:
+                    existing[_QTY] += entry[_QTY]
+                    self.entries -= 1
+                    continue
+                live[key] = entry
+            heappush(dst, entry)
         self._settle(r)
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
@@ -153,10 +152,4 @@ class GenTimeEngine(EngineBase):
         """Mean route length (vertices, origin included) over resident parcels."""
         if self.paths is None:
             raise ConfigError("path tracking is not enabled")
-        count = 0
-        total = 0
-        for buf in self.buffers:
-            for e in buf:
-                total += self.paths.length(e[_PATH])
-                count += 1
-        return total / count if count else 0.0
+        return self.paths.mean_length(e[_PATH] for buf in self.buffers for e in buf)

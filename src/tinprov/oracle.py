@@ -85,24 +85,27 @@ class Oracle:
 
     def _process_element(self, r: Interaction) -> None:
         src = self.buffers[r.source]
-        dst = self.buffers[r.dest]
         resq = r.quantity
+        # selection ends before anything is delivered, so a self-interaction
+        # chooses only among the parcels it found
+        chosen: list[Parcel] = []
         while resq > 0.0 and src:
             i = self._select(src)
             p = src[i]
             if p.quantity > resq:
                 # split: copy travels, the remainder stays in place
-                copy = Parcel(p.origin, p.birth_time, resq, p.path, self._seq)
-                self._seq += 1
                 p.quantity -= resq
-                dst.append(copy)
-                resq = 0.0
+                p = Parcel(p.origin, p.birth_time, resq, p.path, self._seq)
+                self._seq += 1
             else:
                 del src[i]
-                if self.track_paths:
-                    p.path = p.path + (r.source,)
-                dst.append(p)
-                resq -= p.quantity
+            chosen.append(p)
+            resq -= p.quantity
+        dst = self.buffers[r.dest]
+        for p in chosen:
+            if self.track_paths:
+                p.path = p.path + (r.source,)  # every relayed parcel, copies too
+            dst.append(p)
         if resq > 0.0:
             path = (r.source,) if self.track_paths else ()
             dst.append(Parcel(r.source, r.time, resq, path, self._seq))

@@ -1,13 +1,19 @@
 """Route tracking for buffered parcels (element policies only).
 
-Each parcel can carry the route it travelled: the path starts as just the
-origin vertex and is extended with the transmitter every time the parcel is
-relayed wholesale to another vertex.  A split copy keeps the path of the
-parcel it was split from.  Paths are stored as reversed parent chains so
-that shared prefixes are stored once; a handle is an index into the store.
+A parcel's route is the vertex sequence its quantity travelled: the origin,
+then each vertex that relayed it.  One relay rule holds for every element
+policy: a parcel that leaves vertex ``s``, moved whole or as a split copy,
+gets ``s`` appended to its route (a self-interaction relays too).  Routes are
+reversed parent chains in three append-only integer columns (vertex, parent,
+depth); a handle is a node index.  Nothing is deduplicated: ``birth`` and
+``extend`` each append exactly one node.  Prefixes are still shared through
+parent links, so a split copy and its remainder share every node before the
+split.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 NO_PATH = -1
 
@@ -15,34 +21,26 @@ NO_PATH = -1
 class PathStore:
     """Append-only parent-chain storage of parcel routes."""
 
-    __slots__ = ("_vertex", "_parent", "_depth", "_roots", "_children")
+    __slots__ = ("_vertex", "_parent", "_depth")
 
     def __init__(self) -> None:
-        self._vertex: list[int] = []
-        self._parent: list[int] = []
-        self._depth: list[int] = []
-        self._roots: dict[int, int] = {}
-        self._children: dict[tuple[int, int], int] = {}
+        # imported here: the extension module adds to the RSS of runs without routes
+        from array import array
+
+        self._vertex = array("q")
+        self._parent = array("q")
+        self._depth = array("q")
 
     def __len__(self) -> int:
         return len(self._vertex)
 
     def birth(self, origin: int) -> int:
-        """Handle for the length-1 path [origin]. Cached per origin."""
-        handle = self._roots.get(origin)
-        if handle is None:
-            handle = self._append(origin, NO_PATH, 1)
-            self._roots[origin] = handle
-        return handle
+        """Handle for a new length-1 path [origin]."""
+        return self._append(origin, NO_PATH, 1)
 
-    def extend(self, handle: int, transmitter: int) -> int:
-        """Handle for the given path extended with the transmitter vertex."""
-        key = (handle, transmitter)
-        child = self._children.get(key)
-        if child is None:
-            child = self._append(transmitter, handle, self._depth[handle] + 1)
-            self._children[key] = child
-        return child
+    def extend(self, handle: int, relayer: int) -> int:
+        """Handle for a new node: the given path extended with ``relayer``."""
+        return self._append(relayer, handle, self._depth[handle] + 1)
 
     def _append(self, vertex: int, parent: int, depth: int) -> int:
         self._vertex.append(vertex)
@@ -52,6 +50,16 @@ class PathStore:
 
     def length(self, handle: int) -> int:
         return self._depth[handle]
+
+    def mean_length(self, handles: Iterable[int]) -> float:
+        """Mean route length (vertices, origin included) of ``handles``; 0.0 if none."""
+        depth = self._depth
+        count = 0
+        total = 0
+        for h in handles:
+            total += depth[h]
+            count += 1
+        return total / count if count else 0.0
 
     def sequence(self, handle: int) -> tuple[int, ...]:
         """Materialize the logical vertex sequence, origin first."""

@@ -65,7 +65,6 @@ class ProportionalDenseEngine(EngineBase):
             alpha = rq / bs
             slice_ = vs * alpha
             vs -= slice_
-            np.clip(vs, 0.0, None, out=vs)
             vd += slice_
         self._settle(r)
 

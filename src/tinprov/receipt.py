@@ -8,9 +8,12 @@ are appended to the destination in selection order, with the newborn parcel
 (if any) appended last.  When a parcel is split, the remainder keeps its
 place at the end it was selected from.
 
-A self-interaction follows the same rule literally: a parcel selected from a
-buffer is appended to that same buffer, so FIFO rotates the queue and LIFO
-reselects the top.
+A self-interaction selects only among the parcels present before it, so it
+relays at most the buffer's total; the shortfall is a newborn, as for any
+interaction.  Its selected parcels rejoin the buffer once selection ends, in
+selection order, and each self-relayed route gains the vertex, as any relay's
+does.  FIFO thus rotates the selected parcels to the back, and LIFO puts them
+back on top in reverse.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class ReceiptEngine(EngineBase):
         lifo: bool = False,
         epsilon: float = 1e-9,
         track_paths: bool = False,
-        path_store: Optional[PathStore] = None,
     ) -> None:
         super().__init__(n_vertices, epsilon)
         self.policy = Policy.LIFO if lifo else Policy.FIFO
@@ -45,14 +47,14 @@ class ReceiptEngine(EngineBase):
         self._end = -1 if lifo else 0
         self._take = list.pop if lifo else deque.popleft
         self._buffers: list = [[] if lifo else deque() for _ in range(n_vertices)]
-        self.paths: Optional[PathStore] = None
-        if track_paths:
-            self.paths = path_store if path_store is not None else PathStore()
+        self.paths: Optional[PathStore] = PathStore() if track_paths else None
 
     def process(self, r: Interaction) -> None:
-        s = r.source
+        s, d = r.source, r.dest
         bs = self._buffers[s]
-        bd = self._buffers[r.dest]
+        # a self-interaction holds its selection apart until selection ends,
+        # so it selects among the parcels present before it
+        bd = self._buffers[d] if d != s else []
         end = self._end
         take = self._take
         paths = self.paths
@@ -61,20 +63,22 @@ class ReceiptEngine(EngineBase):
             parcel = bs[end]
             tq = parcel[1]
             if tq - resq > self.epsilon:
-                # split: the remainder stays at the selected end
+                # split: the remainder stays at the selected end, a copy travels
                 bs[end] = (parcel[0], tq - resq, parcel[2])
-                bd.append((parcel[0], resq, parcel[2]))
+                parcel = (parcel[0], resq, parcel[2])
+                tq = resq
                 self.entries += 1
-                resq = 0.0
-                break
-            take(bs)
+            else:
+                take(bs)
             if paths is not None:
-                parcel = (parcel[0], tq, paths.extend(parcel[2], s))
+                parcel = (parcel[0], parcel[1], paths.extend(parcel[2], s))
             bd.append(parcel)
             resq -= tq
         if resq > 0.0:
             bd.append((s, resq, paths.birth(s) if paths is not None else NO_PATH))
             self.entries += 1
+        if d == s:
+            bs.extend(bd)  # the selection rejoins in selection order, newborn last
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
         self._settle(r)
@@ -114,10 +118,4 @@ class ReceiptEngine(EngineBase):
         """Mean route length (vertices, origin included) over resident parcels."""
         if self.paths is None:
             raise ConfigError("path tracking is not enabled")
-        count = 0
-        total = 0
-        for buf in self._buffers:
-            for _, _, p in buf:
-                total += self.paths.length(p)
-                count += 1
-        return total / count if count else 0.0
+        return self.paths.mean_length(p for buf in self._buffers for _, _, p in buf)

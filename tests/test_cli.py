@@ -76,12 +76,12 @@ def test_run_noprov_default(example_file, capsys):
         (
             ["--policy", "lifo", "--paths"],
             "vertex,origin,quantity,path\r\n"
-            "v1,v1,2.0,v1\r\n"
-            "v2,v1,1.0,v1|v2|v1\r\n"
+            "v1,v1,2.0,v1|v2\r\n"
+            "v2,v1,1.0,v1|v2|v0|v1\r\n"
             "v2,v2,2.0,v2|v0|v1\r\n"
             "v2,v1,1.0,v1\r\n"
             "v0,v1,2.0,v1|v2\r\n"
-            "v0,v1,1.0,v1\r\n",
+            "v0,v1,1.0,v1|v2\r\n",
         ),
         (
             ["--policy", "prop-sparse", "--window", "2"],
@@ -345,6 +345,18 @@ def test_non_utf8_input_file_is_usage_error(tmp_path, capsys):
     path.write_bytes(NOT_UTF8)
     with pytest.raises(SystemExit) as exc:
         main(["run", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot read {path}: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, content", [("--selective", b"\xff\xfe\n"), ("--groups", b"a,\xff\n")]
+)
+def test_non_utf8_scope_file_is_usage_error(example_file, tmp_path, capsys, option, content):
+    path = tmp_path / "scope.txt"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", example_file, "--policy", "prop-sparse", option, str(path)])
     assert exc.value.code == 2
     assert f"cannot read {path}: not valid UTF-8" in capsys.readouterr().err
 

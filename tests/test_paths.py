@@ -24,16 +24,17 @@ def test_store_birth_and_extend():
     assert ps.length(b) == 2
 
 
-def test_store_shares_prefixes():
+def test_store_extend_appends_one_node():
     ps = PathStore()
     a = ps.birth(0)
-    b1 = ps.extend(a, 1)
-    b2 = ps.extend(a, 1)
-    assert b1 == b2  # same (path, transmitter) yields the same handle
-    assert ps.birth(0) == a
-    before = len(ps)
-    ps.extend(a, 1)
-    assert len(ps) == before
+    assert len(ps) == 1
+    for n in (2, 3):
+        b = ps.extend(a, 1)  # no dedup: an equal route is a new node
+        assert len(ps) == n
+        assert b == n - 1
+        assert ps._parent[b] == a
+        assert ps.sequence(b) == (0, 1)
+    assert ps.birth(0) == 3
 
 
 def test_full_relay_chain_path():
@@ -49,15 +50,16 @@ def test_full_relay_chain_path():
     assert e.average_path_length() == 3.0
 
 
-def test_split_copy_keeps_path():
+def test_split_copy_route_gains_relayer():
     stream = [
         Interaction(0, 1, 1.0, 5.0),
-        Interaction(1, 2, 2.0, 2.0),  # split: the copy keeps route (0,)
+        Interaction(1, 2, 2.0, 2.0),  # split: the copy leaves v1
     ]
-    e = GenTimeEngine(3, track_paths=True).run(stream)
-    assert e.snapshot_paths(1) == [(0, 3.0, (0,))]
-    # the copy keeps the split parcel's route; no transmitter is appended
-    assert e.snapshot_paths(2) == [(0, 2.0, (0,))]
+    for e in (GenTimeEngine(3, track_paths=True), ReceiptEngine(3, track_paths=True)):
+        e.run(stream)
+        assert e.snapshot_paths(1) == [(0, 3.0, (0,))]
+        # a split copy gains its relayer, as a whole move does
+        assert e.snapshot_paths(2) == [(0, 2.0, (0, 1))]
 
 
 def test_paths_match_oracle_lifo():

@@ -119,7 +119,8 @@ def test_fifo_front_consumption_and_compaction():
 
 
 def test_self_loop_literal_rotation():
-    # a FIFO self-interaction rotates parcels; LIFO reselects the top in place
+    # a self-interaction's selection rejoins once selection ends: FIFO rotates
+    # it to the back, LIFO puts it back on top in reverse
     stream = [
         Interaction(0, 1, 1.0, 2.0),
         Interaction(2, 1, 2.0, 3.0),
