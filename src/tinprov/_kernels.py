@@ -8,8 +8,10 @@ totals and counters into the engine and return its parcels, from which the
 engine rebuilds its buffers.  The C source ships inside the package
 (``_replay.c``).  It is compiled with the system ``cc`` on the first kernel
 use, or by :func:`warmup`, into a per-process temporary directory, and the
-library is loaded from there; importing the package starts no compiler.
-Call :func:`warmup` once to keep that build (about 0.2 s) out of timings.
+library is loaded from there.  NumPy, which holds the arrays a kernel
+reads and writes, is imported by the functions that build those arrays, so
+importing the package loads neither a compiler nor NumPy.  Call
+:func:`warmup` once to keep the build (about 0.2 s) out of timings.
 
 Semantics are identical to the engines' ``process()`` paths: the same
 selection rule, split/dust rule, newborn rule, baseline total arithmetic and,
@@ -24,10 +26,8 @@ import ctypes
 import logging
 import shutil
 import tempfile
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
-
-import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -41,22 +41,36 @@ AVAILABLE = _CC is not None
 #: streams shorter than this are not worth the array conversion
 MIN_STREAM = 100_000
 
+#: records per block of ``stream_arrays``
+_BLOCK = 1 << 16
+
 _lib = None
 
 
 def stream_arrays(stream):
-    """Column arrays (source, dest, time, quantity) for a materialized stream."""
+    """Column arrays (source, dest, time, quantity) for a materialized stream.
+
+    Records are read as float64 in one pass per block of ``_BLOCK``, so the
+    temporary rows stay small next to the columns.  Vertex indices, all
+    below 2**53, come back exact as int64.
+    """
+    import numpy as np
+
     n = len(stream)
-    src = np.fromiter((r.source for r in stream), np.int64, n)
-    dst = np.fromiter((r.dest for r in stream), np.int64, n)
-    tms = np.fromiter((r.time for r in stream), np.float64, n)
-    qty = np.fromiter((r.quantity for r in stream), np.float64, n)
-    return src, dst, tms, qty
+    columns = [np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n)]
+    for start in range(0, n, _BLOCK):
+        block = stream[start:start + _BLOCK]
+        rows = np.fromiter(chain.from_iterable(block), np.float64, 4 * len(block))
+        for column, values in zip(columns, rows.reshape(-1, 4).T):
+            column[start:start + len(block)] = values
+    return columns
 
 
 def _build():
     """Compile ``_replay.c`` in a temporary directory and load the library."""
     import subprocess
+
+    import numpy as np
 
     with tempfile.TemporaryDirectory(prefix="tinprov-") as tmp:
         so = str(Path(tmp) / "replay.so")
@@ -137,6 +151,8 @@ def _replay(kernel, engine, columns, setting, parcel_dtypes):
     parcels as one list per parcel field, in buffer order, vertex by vertex,
     and the per-vertex parcel counts.
     """
+    import numpy as np
+
     src, dst = columns[0], columns[1]
     n, nv = src.size, engine.n_vertices
     if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
@@ -169,7 +185,7 @@ def replay_receipt(engine, stream, lifo: bool):
     order (front to back, FIFO and LIFO alike).
     """
     src, dst, _, qty = stream_arrays(stream)
-    return _replay(_lib.replay_receipt, engine, (src, dst, qty), int(lifo), (np.int64, np.float64))
+    return _replay(_lib.replay_receipt, engine, (src, dst, qty), int(lifo), ("int64", "float64"))
 
 
 def replay_gentime(engine, stream, sign: float):
@@ -181,5 +197,5 @@ def replay_gentime(engine, stream, sign: float):
     """
     return _replay(
         _lib.replay_gentime, engine, stream_arrays(stream), sign,
-        (np.int64, np.float64, np.float64, np.int64),
+        ("int64", "float64", "float64", "int64"),
     )

@@ -7,6 +7,7 @@ import csv
 import json
 import sys
 import time
+from math import isfinite
 from typing import Optional, Sequence, TextIO
 
 from .alerts import alert_scan
@@ -209,6 +210,8 @@ def cmd_run(args, parser) -> int:
     if args.top is not None and args.top < 0:
         parser.error(f"--top must be an integer >= 0, got {args.top}")
     if args.alert_threshold is not None:
+        if not isfinite(args.alert_threshold):
+            parser.error(f"--alert-threshold must be finite, got {args.alert_threshold}")
         if policy not in PROPORTIONAL_POLICIES:
             parser.error("--alert-threshold requires a proportional policy")
         if every_k is not None:

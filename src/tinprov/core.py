@@ -12,10 +12,12 @@ always agree with :class:`NoProvEngine`.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, count, islice, repeat
 from math import inf, isfinite
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +53,7 @@ ELEMENT_POLICIES = frozenset(
 PROPORTIONAL_POLICIES = frozenset({Policy.PROP_DENSE, Policy.PROP_SPARSE})
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
+class Interaction(NamedTuple):
     """One timestamped transfer: ``quantity`` units from ``source`` to ``dest``."""
 
     source: int
@@ -82,6 +83,13 @@ class VertexTable:
             self.labels.append(label)
         return idx
 
+    def intern_all(self, labels: Iterable[str]) -> None:
+        """Intern every label in ``labels``, new ones in first-seen order."""
+        index = self._index
+        new = [label for label in dict.fromkeys(labels) if label not in index]
+        index.update(zip(new, count(len(self.labels))))
+        self.labels += new
+
     def index_of(self, label: str) -> int:
         return self._index[label]
 
@@ -106,8 +114,12 @@ class RejectedRecord:
     reason: str
 
 
-def _sniff_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
+#: lines per chunk of ``parse_stream``; bounds the memory a chunk holds
+CHUNK_LINES = 8192
+
+#: one line the bulk pass may take: four comma-separated fields, none holding
+#: ``#`` or whitespace that ``str.strip`` would remove, and a final newline
+_PLAIN_LINE = re.compile(r"[^,#\s]*,[^,#\s]*,[^,#\s]*,[^,#\s]*\n")
 
 
 def parse_stream(
@@ -121,19 +133,82 @@ def parse_stream(
     as a header if its time or quantity is not a number.  Records with
     unparseable or non-finite fields, a non-positive quantity or a negative
     time are skipped and reported; the rest of the stream is unaffected.
+
+    Lines are read ``CHUNK_LINES`` at a time.  A chunk of plain records (every
+    line four comma-separated fields and a newline, with no ``#``, no
+    whitespace inside and every value accepted) is parsed in one bulk pass
+    over the whole chunk.  Any other chunk, and every chunk once the input has
+    been sniffed as TSV, goes through the per-line parser, which alone names
+    rejected records; both give the same result.
     """
     if table is None:
         table = VertexTable()
     stream: list[Interaction] = []
     rejected: list[RejectedRecord] = []
     delimiter: Optional[str] = None
-    for line_no, raw in enumerate(lines, start=1):
+    lines = iter(lines)
+    line_no = 0
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        if delimiter != "\t" and _parse_plain(chunk, table, stream):
+            delimiter = ","
+        else:
+            delimiter = _parse_lines(chunk, line_no, delimiter, table, stream, rejected)
+        line_no += len(chunk)
+    return table, stream, rejected
+
+
+def _parse_plain(chunk: list[str], table: VertexTable, stream: list[Interaction]) -> bool:
+    """Bulk-parse a chunk of plain records onto ``stream``.
+
+    Returns False, having changed nothing, when the chunk is not all plain
+    records.  Field by field, a plain line parses as ``_parse_lines`` parses it.
+    """
+    if not all(map(_PLAIN_LINE.fullmatch, chunk)):
+        return False
+    fields = "".join(chunk).replace("\n", ",").split(",")
+    fields.pop()  # the empty field after the last newline
+    try:
+        times = list(map(float, fields[2::4]))
+        quantities = list(map(float, fields[3::4]))
+    except ValueError:
+        return False
+    # a sum is finite only if every term is; one that overflows is sent to
+    # the per-line parser, which accepts it
+    if not (
+        isfinite(sum(quantities)) and min(quantities) > 0.0
+        and isfinite(sum(times)) and min(times) >= 0.0
+    ):
+        return False
+    sources, dests = fields[0::4], fields[1::4]
+    table.intern_all(chain.from_iterable(zip(sources, dests)))
+    index = table._index.__getitem__
+    columns = zip(map(index, sources), map(index, dests), times, quantities)
+    # tuple.__new__ builds each record in C; calling Interaction would run
+    # the Python-level __new__ of a NamedTuple once per record
+    stream += map(tuple.__new__, repeat(Interaction), columns)
+    return True
+
+
+def _parse_lines(
+    lines: Iterable[str],
+    line_no: int,
+    delimiter: Optional[str],
+    table: VertexTable,
+    stream: list[Interaction],
+    rejected: list[RejectedRecord],
+) -> Optional[str]:
+    """Parse ``lines``, numbered from ``line_no + 1``, one at a time.
+
+    ``delimiter`` is None until the first record line has been seen.
+    Returns the delimiter after these lines.
+    """
+    for line_no, raw in enumerate(lines, start=line_no + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         first = delimiter is None
         if first:
-            delimiter = _sniff_delimiter(line)
+            delimiter = "\t" if "\t" in line else ","
         fields = [f.strip() for f in line.split(delimiter)]
         if len(fields) != 4:
             rejected.append(
@@ -158,7 +233,7 @@ def parse_stream(
         stream.append(
             Interaction(table.intern(fields[0]), table.intern(fields[1]), time, quantity)
         )
-    return table, stream, rejected
+    return delimiter
 
 
 def sort_check(stream: Sequence[Interaction]) -> list[Interaction]:
@@ -194,19 +269,22 @@ class EngineBase:
         self.entries = 0
         self.peak_entries = 0
 
-    def _settle(self, r: Interaction) -> tuple[float, float]:
-        """Apply the baseline total update; returns (relayed, newborn)."""
-        rq = r.quantity
-        bs = self.totals[r.source]
+    def _settle(self, s: int, d: int, rq: float) -> None:
+        """Apply the baseline total update for ``rq`` units from ``s`` to ``d``.
+
+        Callers pass fields they have unpacked: reading an ``Interaction``
+        costs more than reading locals.
+        """
+        totals = self.totals
+        bs = totals[s]
         q = rq if rq < bs else bs
-        self.totals[r.source] = bs - q
-        self.totals[r.dest] += rq
+        totals[s] = bs - q
+        totals[d] += rq
         newborn = rq - q
         if newborn > 0.0:
-            self.generated[r.source] += newborn
+            self.generated[s] += newborn
             self.cumulative_newborn += newborn
         self.interactions_processed += 1
-        return q, newborn
 
     def process(self, r: Interaction) -> None:
         raise NotImplementedError
@@ -226,7 +304,15 @@ class NoProvEngine(EngineBase):
     policy = Policy.NOPROV
 
     def process(self, r: Interaction) -> None:
-        self._settle(r)
+        s, d, _, rq = r
+        self._settle(s, d, rq)
+
+    def run(self, stream: Iterable[Interaction]) -> "NoProvEngine":
+        """Replay a whole stream, as repeated process() calls would."""
+        settle = self._settle
+        for s, d, _, rq in stream:
+            settle(s, d, rq)
+        return self
 
     def snapshot(self, v: int) -> list:
         return []

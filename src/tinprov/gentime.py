@@ -55,13 +55,13 @@ class GenTimeEngine(EngineBase):
         self._seq = 0
 
     def process(self, r: Interaction) -> None:
-        s = r.source
+        s, d, t, rq = r
         src = self.buffers[s]
         eps = self.epsilon
         paths = self.paths
         merge = self._merge_maps
         moved = []
-        resq = r.quantity
+        resq = rq
         while resq > 0.0 and src:
             top = src[0]
             tq = top[_QTY]
@@ -84,14 +84,14 @@ class GenTimeEngine(EngineBase):
             resq -= tq
         if resq > 0.0:
             path = paths.birth(s) if paths is not None else NO_PATH
-            moved.append([self._sign * r.time, s, self._seq, r.time, resq, path])
+            moved.append([self._sign * t, s, self._seq, t, resq, path])
             self._seq += 1
             self.entries += 1
         # the parcels join the destination only now, in selection order and
         # the newborn last, so a self-interaction selects among the parcels
         # present before it
-        dst = self.buffers[r.dest]
-        live = merge[r.dest] if merge is not None else None
+        dst = self.buffers[d]
+        live = merge[d] if merge is not None else None
         for entry in moved:
             if live is not None:
                 # coalescing: merge into the parcel of equal (origin, birth)
@@ -103,7 +103,7 @@ class GenTimeEngine(EngineBase):
                     continue
                 live[key] = entry
             heappush(dst, entry)
-        self._settle(r)
+        self._settle(s, d, rq)
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
 

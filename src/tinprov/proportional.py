@@ -5,7 +5,8 @@ the source vector contributes the same fraction of its mass.  Vectors come
 in two representations with identical semantics:
 
 * dense — a contiguous float array per vertex, one slot per tracked origin,
-  updated with plain array arithmetic (data-parallel friendly);
+  updated with plain array arithmetic (data-parallel friendly); NumPy is
+  imported when the first dense engine is built;
 * sparse — a dict per vertex from origin slot to amount, updated in place;
   a snapshot lists its entries sorted by origin.
 
@@ -18,8 +19,6 @@ diagnostic.
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from .core import UNKNOWN, EngineBase, Interaction, Policy
 
@@ -41,6 +40,8 @@ class ProportionalDenseEngine(EngineBase):
     policy = Policy.PROP_DENSE
 
     def __init__(self, n_vertices: int, scope=None, epsilon: float = 1e-9) -> None:
+        import numpy as np
+
         super().__init__(n_vertices, epsilon)
         self.scope = scope
         self.n_slots = scope.n_slots if scope is not None else n_vertices
@@ -50,7 +51,7 @@ class ProportionalDenseEngine(EngineBase):
         self.peak_entries = self.entries
 
     def process(self, r: Interaction) -> None:
-        s, d, rq = r.source, r.dest, r.quantity
+        s, d, _, rq = r
         bs = self.totals[s]
         vs = self.vectors[s]
         vd = self.vectors[d]
@@ -66,14 +67,14 @@ class ProportionalDenseEngine(EngineBase):
             slice_ = vs * alpha
             vs -= slice_
             vd += slice_
-        self._settle(r)
+        self._settle(s, d, rq)
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
         """Nonzero components of the vertex's provenance vector."""
         if not 0 <= v < self.n_vertices:
             return []
         row = self.vectors[v]
-        return [(int(i), float(row[i])) for i in np.nonzero(row)[0]]
+        return [(int(i), float(row[i])) for i in row.nonzero()[0]]
 
 
 class ProportionalSparseEngine(EngineBase):
@@ -92,7 +93,7 @@ class ProportionalSparseEngine(EngineBase):
         self.shrinks = [0] * n_vertices
 
     def process(self, r: Interaction) -> None:
-        s, d = r.source, r.dest
+        s, d, _, rq = r
         vectors = self.vectors
         before = len(vectors[s]) + (len(vectors[d]) if d != s else 0)
         _transfer(
@@ -112,7 +113,7 @@ class ProportionalSparseEngine(EngineBase):
         self.entries += after - before
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
-        self._settle(r)
+        self._settle(s, d, rq)
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
         """The vertex's sparse provenance entries (origin, amount), sorted by origin."""
@@ -134,7 +135,7 @@ def _transfer(
     fold_dust: bool,
 ) -> None:
     """Apply one interaction to a bank of sparse vectors; see module doc."""
-    s, d, rq = r.source, r.dest, r.quantity
+    s, d, _, rq = r
     vs = vectors[s]
     if rq >= source_total - epsilon:
         vectors[s] = {}

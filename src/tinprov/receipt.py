@@ -50,7 +50,7 @@ class ReceiptEngine(EngineBase):
         self.paths: Optional[PathStore] = PathStore() if track_paths else None
 
     def process(self, r: Interaction) -> None:
-        s, d = r.source, r.dest
+        s, d, _, rq = r
         bs = self._buffers[s]
         # a self-interaction holds its selection apart until selection ends,
         # so it selects among the parcels present before it
@@ -58,7 +58,7 @@ class ReceiptEngine(EngineBase):
         end = self._end
         take = self._take
         paths = self.paths
-        resq = r.quantity
+        resq = rq
         while resq > 0.0 and bs:
             parcel = bs[end]
             tq = parcel[1]
@@ -81,7 +81,7 @@ class ReceiptEngine(EngineBase):
             bs.extend(bd)  # the selection rejoins in selection order, newborn last
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
-        self._settle(r)
+        self._settle(s, d, rq)
 
     def run(self, stream) -> "ReceiptEngine":
         """Replay a whole stream; same semantics as repeated process() calls.

@@ -169,12 +169,13 @@ class WindowedProportionalEngine(EngineBase):
         self._even_reset_at = 0
 
     def process(self, r: Interaction) -> None:
-        touched = {r.source, r.dest}
+        s, d, _, rq = r
+        touched = {s, d}
         before = sum(len(self.odd[v]) + len(self.even[v]) for v in touched)
-        bs = self.totals[r.source]
-        _transfer(self.odd, self.dropped, r, r.source, bs, self.epsilon, True)
-        _transfer(self.even, self.dropped, r, r.source, bs, self.epsilon, True)
-        self._settle(r)
+        bs = self.totals[s]
+        _transfer(self.odd, self.dropped, r, s, bs, self.epsilon, True)
+        _transfer(self.even, self.dropped, r, s, bs, self.epsilon, True)
+        self._settle(s, d, rq)
         self.entries += sum(len(self.odd[v]) + len(self.even[v]) for v in touched) - before
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tinprov
 from tinprov.cli import main
 
 EXAMPLE_CSV = """\
@@ -296,6 +301,9 @@ def test_synth_then_run(tmp_path, capsys):
         ["run", "x.csv", "--policy", "prop-sparse", "--selective", "topk=x"],
         ["run", "x.csv", "--epsilon", "nan"],
         ["run", "x.csv", "--epsilon", "inf"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--alert-threshold", "nan"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--alert-threshold", "inf"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--alert-threshold=-inf"],
         ["synth", "-", "--vertices", "1", "--interactions", "5"],
         ["run", "x.csv", "--top", "-1"],
     ],
@@ -305,6 +313,17 @@ def test_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "cannot open" not in capsys.readouterr().err  # refused before x.csv is read
+
+
+def test_import_loads_no_numpy():
+    """NumPy is loaded by the dense engine and the C kernels, not on import."""
+    script = "import sys, tinprov, tinprov.cli; print('numpy' in sys.modules)"
+    src = str(Path(tinprov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_config_errors_reported_as_usage(example_file, capsys):

@@ -91,6 +91,15 @@ def test_kernel_agrees_with_process(lifo, monkeypatch):
     assert_run_matches_process(lifo)
 
 
+def test_stream_arrays_are_the_record_columns(monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK", 3)  # several blocks, the last one short
+    stream = rand_stream(5, 10, seed=2)
+    columns = _kernels.stream_arrays(stream)
+    assert [c.dtype.name for c in columns] == ["int64", "int64", "float64", "float64"]
+    assert all(c.flags.c_contiguous for c in columns)
+    assert [c.tolist() for c in columns] == [list(col) for col in zip(*stream)]
+
+
 def test_lifo_split_remainder_stays_on_top():
     e = ReceiptEngine(2, lifo=True)
     e.process(Interaction(0, 1, 1.0, 3.0))
