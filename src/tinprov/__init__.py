@@ -29,7 +29,7 @@ from .proportional import (
 )
 from .receipt import ReceiptEngine
 from .report import RunReport, build_report
-from .scalable import BudgetSpec, ScopeMap, WindowedProportionalEngine, budget_shrink
+from .scalable import BudgetSpec, ScopeMap
 from .synth import synth_stream, write_stream
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "Alert",
     "alert_scan",
     "BudgetSpec",
-    "budget_shrink",
     "build_engine",
     "build_report",
     "ConfigError",
@@ -68,6 +67,5 @@ __all__ = [
     "UNKNOWN",
     "UNKNOWN_LABEL",
     "VertexTable",
-    "WindowedProportionalEngine",
     "write_stream",
 ]

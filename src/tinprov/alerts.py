@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import UNKNOWN, ConfigError, Interaction
+from .core import PROPORTIONAL_POLICIES, UNKNOWN, ConfigError, Interaction
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def alert_scan(
     scope, origins are compared at slot granularity; aggregate slots (rest,
     UNKNOWN) are never counted as neighbor-attributable.
     """
-    if not hasattr(engine, "snapshot"):
+    if getattr(engine, "policy", None) not in PROPORTIONAL_POLICIES:
         raise ConfigError("alert scan needs a proportional engine")
     scope = getattr(engine, "scope", None)
     slot_of = scope.slot_of if scope is not None else None

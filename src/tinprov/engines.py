@@ -16,7 +16,7 @@ from .core import (
 from .gentime import GenTimeEngine
 from .proportional import ProportionalDenseEngine, ProportionalSparseEngine
 from .receipt import ReceiptEngine
-from .scalable import BudgetSpec, ScopeMap, WindowedProportionalEngine
+from .scalable import BudgetSpec, ScopeMap
 
 
 @dataclass
@@ -74,8 +74,6 @@ def build_engine(cfg: EngineConfig, n_vertices: int):
         )
     if policy is Policy.PROP_DENSE:
         return ProportionalDenseEngine(n_vertices, scope=cfg.scope, epsilon=cfg.epsilon)
-    if cfg.window is not None:
-        return WindowedProportionalEngine(n_vertices, cfg.window, cfg.epsilon)
     return ProportionalSparseEngine(
-        n_vertices, scope=cfg.scope, epsilon=cfg.epsilon, budget=cfg.budget
+        n_vertices, scope=cfg.scope, epsilon=cfg.epsilon, budget=cfg.budget, window=cfg.window
     )

@@ -10,17 +10,24 @@ in two representations with identical semantics:
 * sparse — a dict per vertex from origin slot to amount, updated in place;
   a snapshot lists its entries sorted by origin.
 
+A sparse engine holds one bank of vectors, or under a window of W
+interactions two banks, odd and even, that both take every update.  After
+interaction n, a multiple of W, one bank is reset to ``{UNKNOWN: |B_v|}``
+for every v: the odd bank at odd multiples, the even bank at even ones.
+Snapshots read the least recently reset bank, so mass born within the last
+W interactions is attributed to its true origin.
+
 Entries whose amount falls to the dust threshold (``epsilon``) are dropped
-from sparse vectors.  When a scope mechanism is active the dropped mass is
-folded into the UNKNOWN entry; otherwise it is only tracked as a per-vertex
-diagnostic.
+from sparse vectors.  When a scope, budget or window is set the dropped mass
+is folded into the UNKNOWN entry; otherwise it is only tracked as a
+per-vertex diagnostic.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import UNKNOWN, EngineBase, Interaction, Policy
+from .core import UNKNOWN, ConfigError, EngineBase, Interaction, Policy
 
 SparseVec = dict  # dict[int, float]: origin slot -> amount
 
@@ -82,44 +89,72 @@ class ProportionalSparseEngine(EngineBase):
 
     policy = Policy.PROP_SPARSE
 
-    def __init__(self, n_vertices: int, scope=None, epsilon: float = 1e-9, budget=None) -> None:
+    def __init__(
+        self, n_vertices: int, scope=None, epsilon: float = 1e-9, budget=None, window=None
+    ) -> None:
         super().__init__(n_vertices, epsilon)
+        if window is not None:
+            if window < 1:
+                raise ConfigError("window must be a positive interaction count")
+            if scope is not None or budget is not None:
+                raise ConfigError("selective/grouped, window and budget are mutually exclusive")
         self.scope = scope
         self.budget = budget
+        self.window = window
         self._slot_of = scope.slot_of if scope is not None else list(range(n_vertices))
-        self._fold_dust = scope is not None or budget is not None
-        self.vectors: list[SparseVec] = [{} for _ in range(n_vertices)]
+        self._fold_dust = scope is not None or budget is not None or window is not None
+        # a window resets bank 0 (odd) at odd multiples of W, bank 1 (even) at even ones
+        self.banks: list[list[SparseVec]] = [
+            [{} for _ in range(n_vertices)] for _ in range(1 if window is None else 2)
+        ]
+        self.reset_at = [0] * len(self.banks)  # interaction count at each bank's last reset
         self.dropped = [0.0] * n_vertices
         self.shrinks = [0] * n_vertices
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
-        vectors = self.vectors
-        before = len(vectors[s]) + (len(vectors[d]) if d != s else 0)
-        _transfer(
-            vectors,
-            self.dropped,
-            r,
-            self._slot_of[s],
-            self.totals[s],
-            self.epsilon,
-            self._fold_dust,
-        )
+        slot_source = self._slot_of[s]
+        source_total = self.totals[s]
+        for vectors in self.banks:
+            self.entries += _transfer(
+                vectors, self.dropped, r, slot_source, source_total, self.epsilon, self._fold_dust
+            )
         budget = self.budget
-        if budget is not None and len(vectors[d]) > budget.capacity:
-            vectors[d] = dict(budget.shrink(vectors[d].items()))
+        if budget is not None and len(self.banks[0][d]) > budget.capacity:
+            vectors = self.banks[0]  # a budget excludes a window: one bank
+            vd = vectors[d]
+            vectors[d] = dict(budget.shrink(vd.items()))
+            self.entries += len(vectors[d]) - len(vd)
             self.shrinks[d] += 1
-        after = len(vectors[s]) + (len(vectors[d]) if d != s else 0)
-        self.entries += after - before
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
         self._settle(s, d, rq)
+        window = self.window
+        if window is not None and self.interactions_processed % window == 0:
+            # every vertex keeps its whole total, as UNKNOWN mass, in the reset
+            # bank; UNKNOWN is exempt from dust, so sub-epsilon totals stay too
+            b = self._oldest_bank()
+            bank = self.banks[b]
+            freed = sum(len(vec) for vec in bank)
+            kept = 0
+            for v, total in enumerate(self.totals):
+                bank[v] = {UNKNOWN: total} if total > 0.0 else {}
+                kept += len(bank[v])
+            self.entries += kept - freed
+            if self.entries > self.peak_entries:
+                self.peak_entries = self.entries
+            self.reset_at[b] = self.interactions_processed
+
+    def _oldest_bank(self) -> int:
+        """The least recently reset bank: snapshots read it, and it is reset next."""
+        reset_at = self.reset_at
+        return reset_at.index(min(reset_at))
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
-        """The vertex's sparse provenance entries (origin, amount), sorted by origin."""
+        """The vertex's entries (origin, amount) in the bank snapshots read, sorted by origin."""
         if not 0 <= v < self.n_vertices:
             return []
-        return sorted(self.vectors[v].items())
+        return sorted(self.banks[self._oldest_bank()][v].items())
 
     def total_dropped(self) -> float:
         return sum(self.dropped)
@@ -133,10 +168,14 @@ def _transfer(
     source_total: float,
     epsilon: float,
     fold_dust: bool,
-) -> None:
-    """Apply one interaction to a bank of sparse vectors; see module doc."""
+) -> int:
+    """Apply one interaction to a bank of sparse vectors; see module doc.
+
+    Returns the change in the number of entries the bank holds.
+    """
     s, d, _, rq = r
     vs = vectors[s]
+    before = len(vs) + len(vectors[d]) if d != s else len(vs)
     if rq >= source_total - epsilon:
         vectors[s] = {}
         newborn = rq - source_total
@@ -149,28 +188,30 @@ def _transfer(
         vd = vectors[d]
         for o, q in vs.items():
             vd[o] = vd.get(o, 0.0) + q
-        return
-    alpha = rq / source_total
-    keep = 1.0 - alpha
-    residual: SparseVec = {}
-    dust = 0.0
-    for o, q in vs.items():
-        q *= keep
-        if q > epsilon or o == UNKNOWN:
-            residual[o] = q
-        else:
-            dust += q
-    _dust(residual, dust, dropped, s, fold_dust)
-    vectors[s] = residual
-    vd = vectors[d]  # the residual itself on a self-interaction
-    dust = 0.0
-    for o, q in vs.items():
-        q = vd.get(o, 0.0) + q * alpha
-        if q > epsilon or o == UNKNOWN:
-            vd[o] = q
-        else:
-            dust += q
-    _dust(vd, dust, dropped, d, fold_dust)
+    else:
+        alpha = rq / source_total
+        keep = 1.0 - alpha
+        residual: SparseVec = {}
+        dust = 0.0
+        for o, q in vs.items():
+            q *= keep
+            if q > epsilon or o == UNKNOWN:
+                residual[o] = q
+            else:
+                dust += q
+        _dust(residual, dust, dropped, s, fold_dust)
+        vectors[s] = residual
+        vd = vectors[d]  # the residual itself on a self-interaction
+        dust = 0.0
+        for o, q in vs.items():
+            q = vd.get(o, 0.0) + q * alpha
+            if q > epsilon or o == UNKNOWN:
+                vd[o] = q
+            else:
+                dust += q
+        _dust(vd, dust, dropped, d, fold_dust)
+    # vd is vectors[d], and vectors[s] too on a self-interaction
+    return (len(vectors[s]) + len(vd) if d != s else len(vd)) - before
 
 
 def _dust(vec: SparseVec, mass: float, dropped: list[float], v: int, fold_dust: bool) -> None:

@@ -1,14 +1,15 @@
 """Mechanisms that bound the cost of proportional provenance tracking.
 
-Four independent alternatives:
+Four independent alternatives; this module holds the specs of three:
 
 * selective — track only k chosen origin vertices; every other origin is
   folded into one trailing "rest" slot;
 * grouped — track origins at the granularity of m vertex groups;
-* windowing — two sparse vectors per vertex with alternating resets, which
-  guarantees exact attribution for mass born within the last W interactions;
 * budget — cap every sparse vector at C entries; on overflow keep the best
   ``⌊f·C⌋`` entries and fold the evicted mass into the UNKNOWN entry.
+
+The fourth, windowing, is the ``window`` argument of
+``ProportionalSparseEngine`` (see ``tinprov.proportional``).
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import (
-    REST_LABEL,
-    UNKNOWN,
-    ConfigError,
-    EngineBase,
-    Interaction,
-    Policy,
-)
-from .proportional import SparseVec, _transfer
+from .core import REST_LABEL, UNKNOWN, ConfigError
 
 
 class ScopeMap:
@@ -124,86 +117,3 @@ class BudgetSpec:
         if unknown_mass > 0.0:
             out.insert(0, (UNKNOWN, unknown_mass))
         return out
-
-
-def budget_shrink(
-    p: Sequence[tuple[int, float]],
-    new_entries: Sequence[tuple[int, float]],
-    spec: BudgetSpec,
-) -> list[tuple[int, float]]:
-    """Merge new entries into a sparse vector under a capacity budget.
-
-    A merge that fits within the capacity is returned sorted by origin;
-    otherwise the result is shrunk per the spec's keep criterion.
-    """
-    merged = dict(p)
-    for o, q in new_entries:
-        merged[o] = merged.get(o, 0.0) + q
-    if len(merged) <= spec.capacity:
-        return sorted(merged.items())
-    return spec.shrink(merged.items())
-
-
-class WindowedProportionalEngine(EngineBase):
-    """Sparse proportional tracking with the odd/even double-vector scheme.
-
-    Both vector banks receive every update.  After interaction number n (a
-    multiple of W) one bank is reset to ``{UNKNOWN: |B_v|}`` for all v: the
-    odd bank at odd multiples of W, the even bank at even multiples.  Queries
-    are served from the least recently reset bank, so mass born within the
-    last W interactions is always attributed to its true origin.
-    """
-
-    policy = Policy.PROP_SPARSE
-
-    def __init__(self, n_vertices: int, window: int, epsilon: float = 1e-9) -> None:
-        super().__init__(n_vertices, epsilon)
-        if window < 1:
-            raise ConfigError("window must be a positive interaction count")
-        self.window = window
-        self.odd: list[SparseVec] = [{} for _ in range(n_vertices)]
-        self.even: list[SparseVec] = [{} for _ in range(n_vertices)]
-        self.dropped = [0.0] * n_vertices
-        self.counter = 0
-        self._odd_reset_at = 0
-        self._even_reset_at = 0
-
-    def process(self, r: Interaction) -> None:
-        s, d, _, rq = r
-        touched = {s, d}
-        before = sum(len(self.odd[v]) + len(self.even[v]) for v in touched)
-        bs = self.totals[s]
-        _transfer(self.odd, self.dropped, r, s, bs, self.epsilon, True)
-        _transfer(self.even, self.dropped, r, s, bs, self.epsilon, True)
-        self._settle(s, d, rq)
-        self.entries += sum(len(self.odd[v]) + len(self.even[v]) for v in touched) - before
-        if self.entries > self.peak_entries:
-            self.peak_entries = self.entries
-        self.counter += 1
-        if self.counter % self.window == 0:
-            multiple = self.counter // self.window
-            bank = self.odd if multiple % 2 == 1 else self.even
-            freed = sum(len(x) for x in bank)
-            kept = 0
-            for v in range(self.n_vertices):
-                total = self.totals[v]
-                bank[v] = {UNKNOWN: total} if total > self.epsilon else {}
-                kept += len(bank[v])
-            self.entries += kept - freed
-            if multiple % 2 == 1:
-                self._odd_reset_at = self.counter
-            else:
-                self._even_reset_at = self.counter
-
-    def query(self, v: int) -> list[tuple[int, float]]:
-        """Provenance entries from the least recently reset vector bank, sorted by origin."""
-        if not 0 <= v < self.n_vertices:
-            return []
-        if self._odd_reset_at <= self._even_reset_at:
-            return sorted(self.odd[v].items())
-        return sorted(self.even[v].items())
-
-    snapshot = query
-
-    def total_dropped(self) -> float:
-        return sum(self.dropped)

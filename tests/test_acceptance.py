@@ -24,8 +24,6 @@ from tinprov import (
     ProportionalDenseEngine,
     ProportionalSparseEngine,
     ReceiptEngine,
-    WindowedProportionalEngine,
-    budget_shrink,
     build_report,
     densify,
     synth_stream,
@@ -114,12 +112,11 @@ def test_criterion_4_proportional_vectors():
 @criterion(5, "budget shrink worked example")
 def test_criterion_5_budget_shrink():
     v, u, w, x, y, z = range(6)
-    merged = budget_shrink(
-        sorted([(v, 1.0), (u, 3.0), (w, 2.0), (z, 1.0)]),
-        sorted([(x, 2.0), (w, 1.0), (y, 4.0)]),
-        BudgetSpec(5, 0.6),
-    )
-    assert sorted(merged) == sorted([(UNKNOWN, 4.0), (u, 3.0), (w, 3.0), (y, 4.0)])
+    merged = {v: 1.0, u: 3.0, w: 2.0, z: 1.0}
+    for o, q in [(x, 2.0), (w, 1.0), (y, 4.0)]:
+        merged[o] = merged.get(o, 0.0) + q
+    shrunk = BudgetSpec(5, 0.6).shrink(merged.items())
+    assert sorted(shrunk) == sorted([(UNKNOWN, 4.0), (u, 3.0), (w, 3.0), (y, 4.0)])
 
 
 @criterion(6, "dense/sparse agreement on 100 random streams (1e-6, <10s)")
@@ -234,7 +231,7 @@ def test_criterion_9_window_guarantee():
         for w in (10, 100):
             rng = random.Random(seed)
             n_before = rng.randrange(5, 2 * w)
-            engine = WindowedProportionalEngine(10, w)
+            engine = ProportionalSparseEngine(10, window=w)
             t = 0
             # background traffic among vertices 1..7; 0 and 9 stay idle
             for _ in range(n_before):
@@ -253,10 +250,10 @@ def test_criterion_9_window_guarantee():
                     engine.process(Interaction(s, d, float(t), float(rng.randrange(1, 20))))
 
             advance(birth_index + w - 1)
-            explicit = dict(engine.query(9)).get(0, 0.0)
+            explicit = dict(engine.snapshot(9)).get(0, 0.0)
             assert explicit == pytest.approx(1000.0, abs=1e-6)
             advance(birth_index + 2 * w + 1)
-            held = dict(engine.query(9))
+            held = dict(engine.snapshot(9))
             assert held.get(0, 0.0) + held.get(UNKNOWN, 0.0) == pytest.approx(
                 1000.0, abs=1e-6
             )

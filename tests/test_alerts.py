@@ -4,9 +4,12 @@ import pytest
 
 from tinprov import (
     ConfigError,
+    GenTimeEngine,
     Interaction,
+    NoProvEngine,
     ProportionalDenseEngine,
     ProportionalSparseEngine,
+    ReceiptEngine,
     ScopeMap,
     alert_scan,
 )
@@ -65,12 +68,11 @@ def test_scoped_scan_compares_slots():
 
 
 def test_rejects_engine_without_snapshot():
-    from tinprov import NoProvEngine
-
     with pytest.raises(ConfigError):
         alert_scan([], object(), 1.0)
-    # NoProv has a snapshot() but carries no provenance; every nonempty
-    # buffer over the threshold looks unattributed — scan is defined for
-    # proportional engines, NoProv passes the duck check but alerts wildly.
-    # (Guarded at the CLI level; not re-validated here.)
-    assert NoProvEngine(2).snapshot(0) == []
+    # every engine has a snapshot(), but only a proportional one carries
+    # origin amounts; the others would alert on every large buffer or crash
+    stream = [Interaction(0, 1, 1.0, 5.0), Interaction(1, 2, 2.0, 3.0)]
+    for engine in (NoProvEngine(3), ReceiptEngine(3), GenTimeEngine(3)):
+        with pytest.raises(ConfigError):
+            alert_scan(stream, engine, 1.0)

@@ -23,6 +23,17 @@ v2,v0,8,1
 """
 
 
+PROP_SPARSE_EXAMPLE = (
+    "vertex,origin,quantity\r\n"
+    "v1,v1,1.657142857142857\r\n"
+    "v1,v2,0.3428571428571428\r\n"
+    "v2,v1,3.314285714285715\r\n"
+    "v2,v2,0.6857142857142857\r\n"
+    "v0,v1,2.028571428571429\r\n"
+    "v0,v2,0.9714285714285715\r\n"
+)
+
+
 @pytest.fixture
 def example_file(tmp_path):
     path = tmp_path / "example.csv"
@@ -95,8 +106,17 @@ def test_run_noprov_default(example_file, capsys):
             "v2,<unknown>,4.0\r\n"
             "v0,<unknown>,3.0\r\n",
         ),
+        (["--policy", "prop-sparse", "--budget", "C=2,f=0.5"], PROP_SPARSE_EXAMPLE),
+        # the odd bank is reset after interaction 4; the even one keeps origins
+        (["--policy", "prop-sparse", "--window", "4"], PROP_SPARSE_EXAMPLE),
     ],
-    ids=["lrb", "lifo-paths", "prop-sparse-window"],
+    ids=[
+        "lrb",
+        "lifo-paths",
+        "prop-sparse-window",
+        "prop-sparse-budget",
+        "prop-sparse-window-4",
+    ],
 )
 def test_exact_output(example_file, capsys, options, text):
     code, out, _ = run_cli(["run", example_file, *options], capsys)
@@ -249,6 +269,20 @@ def test_window_and_unknown_label(tmp_path, capsys):
     rows = parse_csv(out)
     origins = set(r["origin"] for r in rows)
     assert "<unknown>" in origins
+
+
+def test_window_reset_keeps_sub_epsilon_mass(tmp_path, capsys):
+    # b's 0.3 is at most epsilon when the first reset comes; it stays as UNKNOWN
+    path = tmp_path / "subeps.csv"
+    path.write_text("a,b,1,0.3\nc,d,2,1\ne,b,3,5\nc,d,4,1\n")
+    code, out, err = run_cli(
+        ["run", str(path), "--policy", "prop-sparse", "--window", "2", "--epsilon", "0.5"],
+        capsys,
+    )
+    assert code == 0
+    rows = [(r["origin"], r["quantity"]) for r in parse_csv(out) if r["vertex"] == "b"]
+    assert rows == [("<unknown>", "0.3"), ("e", "5.0")]
+    assert "dropped_dust: 0\n" in err
 
 
 def test_budget_flag(capsys, tmp_path):

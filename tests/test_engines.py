@@ -13,7 +13,6 @@ from tinprov import (
     ProportionalSparseEngine,
     ReceiptEngine,
     ScopeMap,
-    WindowedProportionalEngine,
     build_engine,
 )
 
@@ -27,7 +26,7 @@ def test_builds_expected_engine_types():
         (EngineConfig(Policy.LIFO), ReceiptEngine),
         (EngineConfig(Policy.PROP_DENSE), ProportionalDenseEngine),
         (EngineConfig(Policy.PROP_SPARSE), ProportionalSparseEngine),
-        (EngineConfig(Policy.PROP_SPARSE, window=5), WindowedProportionalEngine),
+        (EngineConfig(Policy.PROP_SPARSE, window=5), ProportionalSparseEngine),
     ]
     for cfg, cls in cases:
         assert type(build_engine(cfg, 4)) is cls

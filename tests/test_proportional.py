@@ -16,7 +16,6 @@ from tinprov import (
     ProportionalDenseEngine,
     ProportionalSparseEngine,
     ScopeMap,
-    WindowedProportionalEngine,
     densify,
 )
 
@@ -120,7 +119,7 @@ def test_full_self_interaction_keeps_relayed_origin():
         Oracle(2, Policy.PROP_DENSE),
         ProportionalDenseEngine(2),
         ProportionalSparseEngine(2),
-        WindowedProportionalEngine(2, window=10),
+        ProportionalSparseEngine(2, window=10),
     ):
         for r in stream:
             tracker.process(r)
@@ -183,11 +182,16 @@ def test_sparse_vectors_sorted_dust_free_and_mass_conserving(stream):
             6, scope=ScopeMap.selective([0, 1], 6), epsilon=DUST_EPSILON
         ),
         ProportionalSparseEngine(6, budget=BudgetSpec(3), epsilon=DUST_EPSILON),
-        WindowedProportionalEngine(6, window=3, epsilon=DUST_EPSILON),
+        ProportionalSparseEngine(6, window=3, epsilon=DUST_EPSILON),
     ]
+    # dust leaves an unscoped vector, so this one is checked for entry counts only
+    plain = ProportionalSparseEngine(6, epsilon=DUST_EPSILON)
     for r in stream:
-        for e in trackers:
+        for e in (*trackers, plain):
             e.process(r)
+            assert e.entries == sum(len(vec) for bank in e.banks for vec in bank)
+            assert e.peak_entries >= e.entries
+        for e in trackers:
             for v in range(6):
                 snap = e.snapshot(v)
                 origins = [o for o, _ in snap]

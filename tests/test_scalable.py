@@ -12,8 +12,6 @@ from tinprov import (
     ProportionalDenseEngine,
     ProportionalSparseEngine,
     ScopeMap,
-    WindowedProportionalEngine,
-    budget_shrink,
     densify,
     synth_stream,
 )
@@ -82,16 +80,18 @@ def test_scoped_run_equals_projected_full_run(engine_cls):
 
 def test_budget_shrink_worked_example():
     v, u, w, x, y, z = range(6)
-    p = [(v, 1.0), (u, 3.0), (w, 2.0), (z, 1.0)]
-    new = [(x, 2.0), (w, 1.0), (y, 4.0)]
-    out = budget_shrink(sorted(p), sorted(new), BudgetSpec(5, 0.6))
+    merged = {v: 1.0, u: 3.0, w: 2.0, z: 1.0}
+    for o, q in [(x, 2.0), (w, 1.0), (y, 4.0)]:
+        merged[o] = merged.get(o, 0.0) + q
+    out = BudgetSpec(5, 0.6).shrink(merged.items())
     assert out == [(UNKNOWN, 4.0), (u, 3.0), (w, 3.0), (y, 4.0)]
 
 
 def test_budget_shrink_fits_without_shrinking():
-    spec = BudgetSpec(5, 0.6)
-    out = budget_shrink([(1, 1.0)], [(2, 2.0)], spec)
-    assert out == [(1, 1.0), (2, 2.0)]
+    e = ProportionalSparseEngine(3, budget=BudgetSpec(5, 0.6))
+    e.run([Interaction(1, 0, 1.0, 1.0), Interaction(2, 0, 2.0, 2.0)])
+    assert e.snapshot(0) == [(1, 1.0), (2, 2.0)]
+    assert e.shrinks[0] == 0
 
 
 def test_budget_mass_conserved_and_unknown_exempt():
@@ -142,15 +142,16 @@ def test_budget_engine_caps_length_and_bounds_dense():
 
 
 def test_window_resets_alternate_banks():
-    e = WindowedProportionalEngine(2, window=2)
+    e = ProportionalSparseEngine(2, window=2)
+    odd, even = e.banks
     stream = [Interaction(0, 1, float(t), 1.0) for t in range(1, 7)]
     for i, r in enumerate(stream, start=1):
         e.process(r)
         if i == 2:  # first (odd) multiple resets the odd bank
-            assert e.odd[1] == {UNKNOWN: e.totals[1]}
-            assert e.even[1] != e.odd[1]
+            assert odd[1] == {UNKNOWN: e.totals[1]}
+            assert even[1] != odd[1]
         if i == 4:  # second (even) multiple resets the even bank
-            assert e.even[1] == {UNKNOWN: e.totals[1]}
+            assert even[1] == {UNKNOWN: e.totals[1]}
 
 
 def test_window_recent_mass_attributed():
@@ -167,23 +168,36 @@ def test_window_recent_mass_attributed():
             Interaction(r.source, r.dest, float(n + i + 1), r.quantity)
             for i, r in enumerate(follow)
         ]
-        e = WindowedProportionalEngine(6, window=W)
+        e = ProportionalSparseEngine(6, window=W)
         for r in stream:
             e.process(r)
-        marked = sum(q for o, q in e.query(1) if o == 0)
+        marked = sum(q for o, q in e.snapshot(1) if o == 0)
         assert marked > 0.0
 
 
 def test_window_query_serves_least_recently_reset():
-    e = WindowedProportionalEngine(2, window=3)
+    e = ProportionalSparseEngine(2, window=3)
     for t in range(1, 10):
         e.process(Interaction(0, 1, float(t), 1.0))
-    # after 9 = 3 odd multiples, odd bank reset at 9, even at 6
-    assert e._odd_reset_at == 9
-    assert e._even_reset_at == 6
-    assert e.query(1) == sorted(e.even[1].items())
+    # after 9 = 3 odd multiples, odd bank (0) reset at 9, even bank (1) at 6
+    assert e.reset_at == [9, 6]
+    assert e.snapshot(1) == sorted(e.banks[1][1].items())
+
+
+def test_window_reset_counts_the_entries_it_adds():
+    # the near-drain 1->0 (2.7 >= 3 - epsilon) empties v1's vectors but leaves
+    # v1 a total of 0.3; the reset of the odd bank gives it an UNKNOWN entry
+    e = ProportionalSparseEngine(2, window=2, epsilon=0.5)
+    e.run([Interaction(0, 1, 1.0, 3.0), Interaction(1, 0, 2.0, 2.7)])
+    assert e.banks[0][1] == {UNKNOWN: e.totals[1]}
+    assert e.entries == sum(len(vec) for bank in e.banks for vec in bank) == 3
+    assert e.peak_entries == 3
 
 
 def test_window_validation():
     with pytest.raises(ConfigError):
-        WindowedProportionalEngine(2, window=0)
+        ProportionalSparseEngine(2, window=0)
+    with pytest.raises(ConfigError):
+        ProportionalSparseEngine(2, scope=ScopeMap.selective([0], 2), window=3)
+    with pytest.raises(ConfigError):
+        ProportionalSparseEngine(2, budget=BudgetSpec(4), window=3)
