@@ -22,11 +22,7 @@ from .engines import EngineConfig, build_engine
 from .gentime import GenTimeEngine
 from .oracle import Oracle, Parcel
 from .paths import PathStore
-from .proportional import (
-    ProportionalDenseEngine,
-    ProportionalSparseEngine,
-    densify,
-)
+from .proportional import ProportionalSparseEngine, densify
 from .receipt import ReceiptEngine
 from .report import RunReport, build_report
 from .scalable import BudgetSpec, ScopeMap
@@ -54,7 +50,6 @@ __all__ = [
     "PathStore",
     "Policy",
     "PROPORTIONAL_POLICIES",
-    "ProportionalDenseEngine",
     "ProportionalSparseEngine",
     "ReceiptEngine",
     "RejectedRecord",

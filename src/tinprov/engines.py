@@ -14,7 +14,7 @@ from .core import (
     Policy,
 )
 from .gentime import GenTimeEngine
-from .proportional import ProportionalDenseEngine, ProportionalSparseEngine
+from .proportional import ProportionalSparseEngine
 from .receipt import ReceiptEngine
 from .scalable import BudgetSpec, ScopeMap
 
@@ -72,8 +72,11 @@ def build_engine(cfg: EngineConfig, n_vertices: int):
             epsilon=cfg.epsilon,
             track_paths=cfg.track_paths,
         )
-    if policy is Policy.PROP_DENSE:
-        return ProportionalDenseEngine(n_vertices, scope=cfg.scope, epsilon=cfg.epsilon)
     return ProportionalSparseEngine(
-        n_vertices, scope=cfg.scope, epsilon=cfg.epsilon, budget=cfg.budget, window=cfg.window
+        n_vertices,
+        scope=cfg.scope,
+        epsilon=cfg.epsilon,
+        budget=cfg.budget,
+        window=cfg.window,
+        dense=policy is Policy.PROP_DENSE,
     )

@@ -1,35 +1,36 @@
 """Proportional selection: per-vertex origin→amount provenance vectors.
 
 When a transfer does not drain the source buffer, every origin component of
-the source vector contributes the same fraction of its mass.  Vectors come
-in two representations with identical semantics:
+the source vector contributes the same fraction of its mass.  A vector is a
+dict from origin slot to amount until a transfer involves a row, or two dicts
+holding ``PROMOTE_FRACTION · n_slots`` entries between them (and at least
+``PROMOTE_MIN``, below which a dict loop beats NumPy's per-call cost).  Its
+destination then becomes a NumPy float64 row, UNKNOWN in the last column, and
+a drained vector is an empty dict again.  NumPy is imported on the first
+promotion.  Both forms apply the same float operations to each amount, so
+they agree exactly.  Budget vectors never promote; ``prop-dense`` promotes
+every destination.
 
-* dense — a contiguous float array per vertex, one slot per tracked origin,
-  updated with plain array arithmetic (data-parallel friendly); NumPy is
-  imported when the first dense engine is built;
-* sparse — a dict per vertex from origin slot to amount, updated in place;
-  a snapshot lists its entries sorted by origin.
+Under a window of W interactions two banks of vectors, odd and even, both
+take every update.  After interaction n, a multiple of W, one bank is reset
+to ``{UNKNOWN: |B_v|}`` for every v: the odd bank at odd multiples, the even
+bank at even ones.  Snapshots read the least recently reset bank, so mass
+born within the last W interactions is attributed to its true origin.
 
-A sparse engine holds one bank of vectors, or under a window of W
-interactions two banks, odd and even, that both take every update.  After
-interaction n, a multiple of W, one bank is reset to ``{UNKNOWN: |B_v|}``
-for every v: the odd bank at odd multiples, the even bank at even ones.
-Snapshots read the least recently reset bank, so mass born within the last
-W interactions is attributed to its true origin.
-
-Entries whose amount falls to the dust threshold (``epsilon``) are dropped
-from sparse vectors.  When a scope, budget or window is set the dropped mass
-is folded into the UNKNOWN entry; otherwise it is only tracked as a
-per-vertex diagnostic.
+Amounts that fall to the dust threshold (``epsilon``) leave the vector, and
+``math.fsum`` adds them up in any order.  Under a scope, budget or window the
+dust is folded into the UNKNOWN entry; otherwise it is booked in ``dropped``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .core import UNKNOWN, ConfigError, EngineBase, Interaction, Policy
 
-SparseVec = dict  # dict[int, float]: origin slot -> amount
+PROMOTE_FRACTION = 0.15  # dicts holding this share of n_slots entries between them ...
+PROMOTE_MIN = 48  # ... and at least this many transfer into a row
 
 
 def densify(entries: Sequence[tuple[int, float]], n_slots: int) -> list[float]:
@@ -41,56 +42,12 @@ def densify(entries: Sequence[tuple[int, float]], n_slots: int) -> list[float]:
     return out
 
 
-class ProportionalDenseEngine(EngineBase):
-    """Proportional policy over dense per-vertex provenance arrays."""
-
-    policy = Policy.PROP_DENSE
-
-    def __init__(self, n_vertices: int, scope=None, epsilon: float = 1e-9) -> None:
-        import numpy as np
-
-        super().__init__(n_vertices, epsilon)
-        self.scope = scope
-        self.n_slots = scope.n_slots if scope is not None else n_vertices
-        self._slot_of = scope.slot_of if scope is not None else list(range(n_vertices))
-        self.vectors = np.zeros((n_vertices, self.n_slots), dtype=np.float64)
-        self.entries = n_vertices * self.n_slots
-        self.peak_entries = self.entries
-
-    def process(self, r: Interaction) -> None:
-        s, d, _, rq = r
-        bs = self.totals[s]
-        vs = self.vectors[s]
-        vd = self.vectors[d]
-        if rq >= bs - self.epsilon:
-            moved = vs.copy()
-            vs[:] = 0.0
-            vd += moved
-            newborn = rq - bs
-            if newborn > 0.0:
-                vd[self._slot_of[s]] += newborn
-        else:
-            alpha = rq / bs
-            slice_ = vs * alpha
-            vs -= slice_
-            vd += slice_
-        self._settle(s, d, rq)
-
-    def snapshot(self, v: int) -> list[tuple[int, float]]:
-        """Nonzero components of the vertex's provenance vector."""
-        if not 0 <= v < self.n_vertices:
-            return []
-        row = self.vectors[v]
-        return [(int(i), float(row[i])) for i in row.nonzero()[0]]
-
-
 class ProportionalSparseEngine(EngineBase):
-    """Proportional policy over sparse origin→amount provenance maps."""
-
-    policy = Policy.PROP_SPARSE
+    """Proportional policy over origin→amount dicts, promoted to rows when near-dense."""
 
     def __init__(
-        self, n_vertices: int, scope=None, epsilon: float = 1e-9, budget=None, window=None
+        self, n_vertices: int, scope=None, epsilon: float = 1e-9, budget=None, window=None,
+        dense: bool = False,
     ) -> None:
         super().__init__(n_vertices, epsilon)
         if window is not None:
@@ -98,34 +55,35 @@ class ProportionalSparseEngine(EngineBase):
                 raise ConfigError("window must be a positive interaction count")
             if scope is not None or budget is not None:
                 raise ConfigError("selective/grouped, window and budget are mutually exclusive")
+        self.policy = Policy.PROP_DENSE if dense else Policy.PROP_SPARSE
         self.scope = scope
         self.budget = budget
         self.window = window
+        self.n_slots = scope.n_slots if scope is not None else n_vertices
         self._slot_of = scope.slot_of if scope is not None else list(range(n_vertices))
         self._fold_dust = scope is not None or budget is not None or window is not None
+        limit = max(PROMOTE_MIN, PROMOTE_FRACTION * self.n_slots)
+        self._promote_at = -1 if dense else math.inf if budget is not None else limit
+        self.promoted_rows = 0
         # a window resets bank 0 (odd) at odd multiples of W, bank 1 (even) at even ones
-        self.banks: list[list[SparseVec]] = [
-            [{} for _ in range(n_vertices)] for _ in range(1 if window is None else 2)
-        ]
+        self.banks = [[{} for _ in range(n_vertices)] for _ in range(1 if window is None else 2)]
         self.reset_at = [0] * len(self.banks)  # interaction count at each bank's last reset
         self.dropped = [0.0] * n_vertices
         self.shrinks = [0] * n_vertices
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
-        slot_source = self._slot_of[s]
-        source_total = self.totals[s]
         for vectors in self.banks:
-            self.entries += _transfer(
-                vectors, self.dropped, r, slot_source, source_total, self.epsilon, self._fold_dust
-            )
-        budget = self.budget
-        if budget is not None and len(self.banks[0][d]) > budget.capacity:
-            vectors = self.banks[0]  # a budget excludes a window: one bank
-            vd = vectors[d]
-            vectors[d] = dict(budget.shrink(vd.items()))
-            self.entries += len(vectors[d]) - len(vd)
-            self.shrinks[d] += 1
+            before = len(vectors[s]) + len(vectors[d]) if d != s else len(vectors[d])
+            if before < self._promote_at and type(vectors[s]) is dict and type(vectors[d]) is dict:
+                self._transfer(vectors, r)
+            else:
+                self._transfer_rows(vectors, r)
+            if self.budget is not None and len(vectors[d]) > self.budget.capacity:
+                vectors[d] = dict(self.budget.shrink(vectors[d].items()))
+                self.shrinks[d] += 1
+            after = len(vectors[s]) + len(vectors[d]) if d != s else len(vectors[d])
+            self.entries += after - before
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
         self._settle(s, d, rq)
@@ -145,6 +103,87 @@ class ProportionalSparseEngine(EngineBase):
                 self.peak_entries = self.entries
             self.reset_at[b] = self.interactions_processed
 
+    def _transfer(self, vectors: list[dict], r: Interaction) -> None:
+        """Apply one interaction to two dict vectors of a bank."""
+        s, d, _, rq = r
+        epsilon = self.epsilon
+        source_total = self.totals[s]
+        vs = vectors[s]
+        if rq >= source_total:
+            vectors[s] = {}
+            self._newborn(vs, s, d, rq - source_total)
+            vd = vectors[d]
+            for o, q in vs.items():
+                vd[o] = vd.get(o, 0.0) + q
+        else:
+            alpha = rq / source_total
+            keep = 1.0 - alpha
+            residual: dict[int, float] = {}
+            dust = []
+            for o, q in vs.items():
+                q *= keep
+                if q > epsilon or o == UNKNOWN:
+                    residual[o] = q
+                else:
+                    dust.append(q)
+            self._dust(residual, dust, s)
+            vectors[s] = residual
+            vd = vectors[d]  # the residual itself on a self-interaction
+            dust = []
+            for o, q in vs.items():
+                q = vd.get(o, 0.0) + q * alpha
+                if q > epsilon or o == UNKNOWN:
+                    vd[o] = q
+                else:
+                    dust.append(q)
+            self._dust(vd, dust, d)
+
+    def _transfer_rows(self, vectors: list, r: Interaction) -> None:
+        """``_transfer`` with the same float operations, row-wide: the destination
+        becomes a row, and a dict source is updated as a temporary row."""
+        s, d, _, rq = r
+        source_total = self.totals[s]
+        if type(vectors[d]) is dict:
+            vectors[d] = _Row(vectors[d], self.n_slots + 1)
+            self.promoted_rows += 1
+        src = dst = vectors[d]
+        if d != s:
+            src = vectors[s] if type(vectors[s]) is _Row else _Row(vectors[s], self.n_slots + 1)
+        if rq >= source_total:
+            self._newborn(src, s, d, rq - source_total)
+            if d != s:
+                dst.amounts += src.amounts
+                vectors[s] = {}
+        else:
+            alpha = rq / source_total
+            moved = src.amounts * alpha
+            src.amounts *= 1.0 - alpha
+            self._dust(src, src.scrub(self.epsilon), s)
+            dst.amounts += moved  # the residual itself on a self-interaction
+            if type(vectors[s]) is dict:
+                vectors[s] = dict(src.items())
+        self._dust(dst, dst.scrub(self.epsilon), d)
+
+    def _newborn(self, vec, s: int, d: int, newborn: float) -> None:
+        """Credit the source's shortfall to its own slot before a drain moves ``vec`` to ``d``."""
+        if newborn > 0.0:
+            slot = self._slot_of[s]
+            q = vec.get(slot, 0.0) + newborn
+            if q > self.epsilon:
+                vec[slot] = q
+            else:
+                self._dust(vec, [q], d)
+
+    def _dust(self, vec, dust: list[float], v: int) -> None:
+        """Fold dust amounts into the vector's UNKNOWN entry, or book them as dropped at ``v``."""
+        if not dust:
+            return
+        mass = math.fsum(dust)
+        if not self._fold_dust:
+            self.dropped[v] += mass
+        elif mass > 0.0:
+            vec[UNKNOWN] = vec.get(UNKNOWN, 0.0) + mass
+
     def _oldest_bank(self) -> int:
         """The least recently reset bank: snapshots read it, and it is reset next."""
         reset_at = self.reset_at
@@ -160,63 +199,48 @@ class ProportionalSparseEngine(EngineBase):
         return sum(self.dropped)
 
 
-def _transfer(
-    vectors: list[SparseVec],
-    dropped: list[float],
-    r: Interaction,
-    slot_source: int,
-    source_total: float,
-    epsilon: float,
-    fold_dust: bool,
-) -> int:
-    """Apply one interaction to a bank of sparse vectors; see module doc.
+class _Row:
+    """A promoted vector, read and written like a dict: ``amounts`` holds one column per
+    origin slot and UNKNOWN in the last, and ``entries`` counts its non-zero amounts."""
 
-    Returns the change in the number of entries the bank holds.
-    """
-    s, d, _, rq = r
-    vs = vectors[s]
-    before = len(vs) + len(vectors[d]) if d != s else len(vs)
-    if rq >= source_total - epsilon:
-        vectors[s] = {}
-        newborn = rq - source_total
-        if newborn > 0.0:
-            q = vs.get(slot_source, 0.0) + newborn
-            if q > epsilon:
-                vs[slot_source] = q
-            else:
-                _dust(vs, q, dropped, d, fold_dust)
-        vd = vectors[d]
-        for o, q in vs.items():
-            vd[o] = vd.get(o, 0.0) + q
-    else:
-        alpha = rq / source_total
-        keep = 1.0 - alpha
-        residual: SparseVec = {}
-        dust = 0.0
-        for o, q in vs.items():
-            q *= keep
-            if q > epsilon or o == UNKNOWN:
-                residual[o] = q
-            else:
-                dust += q
-        _dust(residual, dust, dropped, s, fold_dust)
-        vectors[s] = residual
-        vd = vectors[d]  # the residual itself on a self-interaction
-        dust = 0.0
-        for o, q in vs.items():
-            q = vd.get(o, 0.0) + q * alpha
-            if q > epsilon or o == UNKNOWN:
-                vd[o] = q
-            else:
-                dust += q
-        _dust(vd, dust, dropped, d, fold_dust)
-    # vd is vectors[d], and vectors[s] too on a self-interaction
-    return (len(vectors[s]) + len(vd) if d != s else len(vd)) - before
+    __slots__ = ("amounts", "entries")
 
+    def __init__(self, vec: dict, width: int) -> None:
+        import numpy as np
 
-def _dust(vec: SparseVec, mass: float, dropped: list[float], v: int, fold_dust: bool) -> None:
-    """Fold dust into the vector's UNKNOWN entry, or book it as dropped at ``v``."""
-    if not fold_dust:
-        dropped[v] += mass
-    elif mass > 0.0:
-        vec[UNKNOWN] = vec.get(UNKNOWN, 0.0) + mass
+        self.amounts = np.zeros(width)
+        self.amounts[list(vec)] = list(vec.values())
+        self.entries = len(vec)
+
+    def __len__(self) -> int:
+        return self.entries
+
+    def get(self, o: int, default: float = 0.0) -> float:
+        return float(self.amounts[o]) or default
+
+    def __setitem__(self, o: int, q: float) -> None:
+        self.entries += (q != 0.0) - (self.get(o) != 0.0)
+        self.amounts[o] = q
+
+    def items(self):
+        """(origin, amount) for every non-zero amount, by column: UNKNOWN comes last."""
+        (idx,) = self.amounts.nonzero()
+        origins = idx.tolist()
+        if origins and origins[-1] == len(self.amounts) - 1:
+            origins[-1] = UNKNOWN
+        return zip(origins, self.amounts[idx].tolist())
+
+    def scrub(self, epsilon: float) -> list[float]:
+        """Recount ``entries``; zero the real amounts in (0, epsilon] and return them."""
+        import numpy as np
+
+        real = self.amounts[:-1]
+        self.entries = int(np.count_nonzero(self.amounts))
+        kept = int(np.count_nonzero(real > epsilon)) + bool(self.amounts[UNKNOWN])
+        if kept == self.entries:
+            return []
+        dust = (real > 0.0) & (real <= epsilon)
+        amounts = real[dust].tolist()
+        real[dust] = 0.0
+        self.entries = kept
+        return amounts

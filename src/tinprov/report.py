@@ -15,6 +15,7 @@ class RunReport:
     shrink_avg: Optional[float] = None
     shrink_pct: Optional[float] = None
     avg_path_length: Optional[float] = None
+    promoted_rows: Optional[int] = None
     alerts: int = 0
 
     def render(self) -> str:
@@ -30,6 +31,8 @@ class RunReport:
             lines.append(f"shrink_pct: {self.shrink_pct:.6g}")
         if self.avg_path_length is not None:
             lines.append(f"avg_path_length: {self.avg_path_length:.6g}")
+        if self.promoted_rows is not None:
+            lines.append(f"promoted_rows: {self.promoted_rows}")
         lines.append(f"alerts: {self.alerts}")
         return "\n".join(lines)
 
@@ -40,6 +43,7 @@ def build_report(engine, wall_time_s: float, alerts: int = 0) -> RunReport:
         interactions=engine.interactions_processed,
         wall_time_s=wall_time_s,
         peak_entries=engine.peak_entries,
+        promoted_rows=getattr(engine, "promoted_rows", None),
         alerts=alerts,
     )
     dropped = getattr(engine, "dropped", None)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from tinprov import Interaction
+from tinprov import EngineConfig, Interaction, Policy, build_engine
 
 # the six-interaction example used by all the golden tables (v0, v1, v2 = 0, 1, 2)
 EXAMPLE = [
@@ -41,6 +41,11 @@ def rand_stream(n_vertices, n_interactions, seed, self_loops=False, max_q=50):
                 d += 1
         out.append(Interaction(s, d, float(i + 1), float(rng.randint(1, max_q))))
     return out
+
+
+def prop_dense(n_vertices, scope=None):
+    """The prop-dense engine: every vector that holds an entry is a NumPy row."""
+    return build_engine(EngineConfig(Policy.PROP_DENSE, scope=scope), n_vertices)
 
 
 def multiset(snapshot):

@@ -8,7 +8,7 @@ import functools
 import time
 
 import pytest
-from conftest import EXAMPLE, multiset, rand_stream
+from conftest import EXAMPLE, multiset, prop_dense, rand_stream
 from test_gentime import OLDEST_FIRST_ROWS
 from test_proportional import TABLE_ROWS, exact_replay
 from test_receipt import LIFO_ROWS
@@ -21,7 +21,6 @@ from tinprov import (
     NoProvEngine,
     Oracle,
     Policy,
-    ProportionalDenseEngine,
     ProportionalSparseEngine,
     ReceiptEngine,
     build_report,
@@ -99,7 +98,7 @@ def test_criterion_3_lifo_buffers():
 
 @criterion(4, "proportional vectors on the running example (0.01 / 1e-9)")
 def test_criterion_4_proportional_vectors():
-    e = ProportionalDenseEngine(3)
+    e = prop_dense(3)
     for i, (r, row) in enumerate(zip(EXAMPLE, TABLE_ROWS), start=1):
         e.process(r)
         exact = exact_replay(EXAMPLE[:i], 3)
@@ -124,7 +123,7 @@ def test_criterion_6_dense_sparse_equivalence():
     streams = [rand_stream(30, 500, seed) for seed in range(100)]
     elapsed = 0.0
     for stream in streams:
-        dense = ProportionalDenseEngine(30)
+        dense = prop_dense(30)
         sparse = ProportionalSparseEngine(30)
         started = time.perf_counter()
         dense.run(stream)
@@ -132,7 +131,7 @@ def test_criterion_6_dense_sparse_equivalence():
         elapsed += time.perf_counter() - started
         # untimed verification replay; only the two touched buffers change,
         # so checking those per step plus everything at the end covers all
-        dense, sparse = ProportionalDenseEngine(30), ProportionalSparseEngine(30)
+        dense, sparse = prop_dense(30), ProportionalSparseEngine(30)
         for r in stream:
             dense.process(r)
             sparse.process(r)
@@ -156,7 +155,7 @@ def _engine_oracle(policy, n):
         return ReceiptEngine(n), Oracle(n, policy)
     if policy is Policy.LIFO:
         return ReceiptEngine(n, lifo=True), Oracle(n, policy)
-    return ProportionalDenseEngine(n), Oracle(n, policy)
+    return prop_dense(n), Oracle(n, policy)
 
 
 def _assert_same(policy, engine, oracle, v, n):
@@ -201,7 +200,7 @@ ALL_ENGINES = [
     lambda n: GenTimeEngine(n, most_recent=True),
     lambda n: ReceiptEngine(n),
     lambda n: ReceiptEngine(n, lifo=True),
-    lambda n: ProportionalDenseEngine(n),
+    prop_dense,
     lambda n: ProportionalSparseEngine(n),
 ]
 
@@ -283,7 +282,7 @@ def test_criterion_10_budget_bounds():
     # lower-bound soundness against the exact dense attribution, downscaled
     stream = synth_stream(50, 5000, seed=7, shape="hub")
     capped = ProportionalSparseEngine(50, budget=BudgetSpec(10))
-    exact = ProportionalDenseEngine(50)
+    exact = prop_dense(50)
     for r in stream:
         capped.process(r)
         exact.process(r)

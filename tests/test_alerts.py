@@ -1,13 +1,13 @@
 """Alert scan: buffered mass with no in-neighbor attribution."""
 
 import pytest
+from conftest import prop_dense
 
 from tinprov import (
     ConfigError,
     GenTimeEngine,
     Interaction,
     NoProvEngine,
-    ProportionalDenseEngine,
     ProportionalSparseEngine,
     ReceiptEngine,
     ScopeMap,
@@ -54,7 +54,7 @@ def test_threshold_monotonicity():
 
 
 def test_dense_engine_supported():
-    alerts = alert_scan(chain_stream(), ProportionalDenseEngine(3), 10000.0)
+    alerts = alert_scan(chain_stream(), prop_dense(3), 10000.0)
     assert [a.vertex for a in alerts] == [2]
 
 

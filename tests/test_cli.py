@@ -349,15 +349,22 @@ def test_usage_errors(argv, capsys):
     assert "cannot open" not in capsys.readouterr().err  # refused before x.csv is read
 
 
-def test_import_loads_no_numpy():
-    """NumPy is loaded by the dense engine and the C kernels, not on import."""
-    script = "import sys, tinprov, tinprov.cli; print('numpy' in sys.modules)"
+def test_import_loads_no_numpy(example_file, tmp_path):
+    """NumPy is loaded by the first promoted row and the C kernels, not on import or small runs."""
+    script = (
+        "import sys, tinprov, tinprov.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert tinprov.cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)"
+    )
     src = str(Path(tinprov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "False"
+    run = ["run", example_file, "-o", str(tmp_path / "snap.csv"), "--policy", "prop-sparse"]
+    for argv in ([], run, [*run, "--budget", "C=3,f=0.7"]):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False", argv
 
 
 def test_config_errors_reported_as_usage(example_file, capsys):

@@ -9,7 +9,6 @@ from tinprov import (
     GenTimeEngine,
     NoProvEngine,
     Policy,
-    ProportionalDenseEngine,
     ProportionalSparseEngine,
     ReceiptEngine,
     ScopeMap,
@@ -24,7 +23,7 @@ def test_builds_expected_engine_types():
         (EngineConfig(Policy.MOST_RECENTLY_BORN), GenTimeEngine),
         (EngineConfig(Policy.FIFO), ReceiptEngine),
         (EngineConfig(Policy.LIFO), ReceiptEngine),
-        (EngineConfig(Policy.PROP_DENSE), ProportionalDenseEngine),
+        (EngineConfig(Policy.PROP_DENSE), ProportionalSparseEngine),
         (EngineConfig(Policy.PROP_SPARSE), ProportionalSparseEngine),
         (EngineConfig(Policy.PROP_SPARSE, window=5), ProportionalSparseEngine),
     ]
@@ -41,6 +40,10 @@ def test_policy_variants_configured():
     lifo = build_engine(EngineConfig(Policy.LIFO), 3)
     assert fifo.policy is Policy.FIFO
     assert lifo.policy is Policy.LIFO
+    dense = build_engine(EngineConfig(Policy.PROP_DENSE), 3)
+    sparse = build_engine(EngineConfig(Policy.PROP_SPARSE), 3)
+    assert dense.policy is Policy.PROP_DENSE
+    assert sparse.policy is Policy.PROP_SPARSE
 
 
 def test_mechanisms_mutually_exclusive():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import rand_stream
+from conftest import prop_dense, rand_stream
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from tinprov import (
     Interaction,
     Oracle,
     Policy,
-    ProportionalDenseEngine,
     ProportionalSparseEngine,
     ScopeMap,
     densify,
@@ -56,7 +55,7 @@ def exact_replay(stream, n):
 
 
 def test_example_dense_row_by_row(example_stream):
-    e = ProportionalDenseEngine(3)
+    e = prop_dense(3)
     for r, row in zip(example_stream, TABLE_ROWS):
         e.process(r)
         for v in range(3):
@@ -65,7 +64,7 @@ def test_example_dense_row_by_row(example_stream):
 
 
 def test_example_matches_exact_rationals(example_stream):
-    e = ProportionalDenseEngine(3)
+    e = prop_dense(3)
     s = ProportionalSparseEngine(3)
     for i, r in enumerate(example_stream, start=1):
         e.process(r)
@@ -80,7 +79,7 @@ def test_example_matches_exact_rationals(example_stream):
 def test_dense_sparse_equivalence_random():
     for seed in range(10):
         stream = rand_stream(12, 300, seed, self_loops=True)
-        dense = ProportionalDenseEngine(12)
+        dense = prop_dense(12)
         sparse = ProportionalSparseEngine(12)
         for r in stream:
             dense.process(r)
@@ -94,7 +93,7 @@ def test_dense_sparse_equivalence_random():
 
 @pytest.mark.parametrize(
     "engine_cls",
-    [ProportionalDenseEngine, ProportionalSparseEngine],
+    [prop_dense, ProportionalSparseEngine],
     ids=["dense", "sparse"],
 )
 def test_oracle_agreement(engine_cls):
@@ -117,7 +116,7 @@ def test_full_self_interaction_keeps_relayed_origin():
     stream = [Interaction(0, 1, 1.0, 3.0), Interaction(1, 1, 2.0, 5.0)]
     for tracker in (
         Oracle(2, Policy.PROP_DENSE),
-        ProportionalDenseEngine(2),
+        prop_dense(2),
         ProportionalSparseEngine(2),
         ProportionalSparseEngine(2, window=10),
     ):
@@ -136,7 +135,7 @@ def test_full_drain_zeroes_source():
 
 def test_self_loop_aliasing_safe():
     e = ProportionalSparseEngine(2)
-    d = ProportionalDenseEngine(2)
+    d = prop_dense(2)
     stream = [
         Interaction(0, 1, 1.0, 4.0),
         Interaction(1, 1, 2.0, 2.0),  # partial self-transfer

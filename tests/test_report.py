@@ -2,9 +2,11 @@
 
 from tinprov import (
     BudgetSpec,
+    EngineConfig,
     Policy,
     ProportionalSparseEngine,
     ReceiptEngine,
+    build_engine,
     build_report,
     synth_stream,
 )
@@ -19,7 +21,7 @@ def test_render_basic_lines():
     assert lines[2] == "peak_entries: 4"
     assert lines[3] == "dropped_dust: 0"
     assert lines[-1] == "alerts: 0"
-    assert not any(line.startswith("shrink") for line in lines)
+    assert not any(line.startswith(("shrink", "promoted_rows")) for line in lines)
 
 
 def test_render_optional_lines():
@@ -30,11 +32,13 @@ def test_render_optional_lines():
         shrink_avg=1.5,
         shrink_pct=50.0,
         avg_path_length=2.25,
+        promoted_rows=7,
         alerts=3,
     ).render()
     assert "shrink_avg: 1.5" in text
     assert "shrink_pct: 50" in text
     assert "avg_path_length: 2.25" in text
+    assert "promoted_rows: 7" in text
     assert text.splitlines()[-1] == "alerts: 3"
 
 
@@ -47,6 +51,7 @@ def test_build_report_element_engine(example_stream):
     assert report.alerts == 2
     assert report.shrink_avg is None and report.shrink_pct is None
     assert report.avg_path_length == engine.average_path_length()
+    assert report.promoted_rows is None
 
 
 def test_build_report_budget_engine():
@@ -66,3 +71,14 @@ def test_build_report_sparse_without_budget(example_stream):
     report = build_report(engine, wall_time_s=0.0)
     assert report.shrink_avg is None
     assert report.dropped_dust == 0.0
+    assert report.promoted_rows == 0
+    assert "promoted_rows: 0" in report.render()
+
+
+def test_prop_dense_report_counts_held_entries(example_stream):
+    dense = build_engine(EngineConfig(Policy.PROP_DENSE), 3).run(example_stream)
+    sparse = ProportionalSparseEngine(3).run(example_stream)
+    report = build_report(dense, wall_time_s=0.0)
+    # the entries held at the peak, as prop-sparse counts them, not 3 × 3 slots
+    assert report.peak_entries == sparse.peak_entries < 9
+    assert report.promoted_rows == dense.promoted_rows > 0

@@ -1,7 +1,7 @@
 """Memory-bounding mechanisms: scoped slots, windowing, capacity budgets."""
 
 import pytest
-from conftest import rand_stream
+from conftest import prop_dense, rand_stream
 
 from tinprov import (
     REST_LABEL,
@@ -9,7 +9,6 @@ from tinprov import (
     BudgetSpec,
     ConfigError,
     Interaction,
-    ProportionalDenseEngine,
     ProportionalSparseEngine,
     ScopeMap,
     densify,
@@ -51,16 +50,18 @@ def _project(dense_snapshot, slot_of, n_slots):
     return out
 
 
-@pytest.mark.parametrize("engine_cls", [ProportionalDenseEngine, ProportionalSparseEngine])
-def test_scoped_run_equals_projected_full_run(engine_cls):
+@pytest.mark.parametrize(
+    "make", [prop_dense, ProportionalSparseEngine], ids=["prop-dense", "prop-sparse"]
+)
+def test_scoped_run_equals_projected_full_run(make):
     """Tracking k slots gives exactly the slot-sums of full tracking."""
     scope = ScopeMap.selective([0, 4], 9)
     grouped = ScopeMap.grouped({v: v % 3 for v in range(9)}, 9)
     for seed in range(5):
         stream = rand_stream(9, 250, seed)
-        full = ProportionalDenseEngine(9)
-        sel = engine_cls(9, scope=scope)
-        grp = engine_cls(9, scope=grouped)
+        full = prop_dense(9)
+        sel = make(9, scope=scope)
+        grp = make(9, scope=grouped)
         for r in stream:
             full.process(r)
             sel.process(r)
@@ -122,7 +123,7 @@ def test_budget_engine_caps_length_and_bounds_dense():
     for seed in range(4):
         stream = rand_stream(30, 400, seed)
         eng = ProportionalSparseEngine(30, budget=spec)
-        full = ProportionalDenseEngine(30)
+        full = prop_dense(30)
         for r in stream:
             eng.process(r)
             full.process(r)
@@ -185,13 +186,15 @@ def test_window_query_serves_least_recently_reset():
 
 
 def test_window_reset_counts_the_entries_it_adds():
-    # the near-drain 1->0 (2.7 >= 3 - epsilon) empties v1's vectors but leaves
-    # v1 a total of 0.3; the reset of the odd bank gives it an UNKNOWN entry
+    # 1->0 moves 2.7 of v1's 3, a partial transfer; v1's residual 0.3 is at
+    # most epsilon and is folded into UNKNOWN in both banks.  The reset of the
+    # odd bank then replaces each vector with {UNKNOWN: total}
     e = ProportionalSparseEngine(2, window=2, epsilon=0.5)
     e.run([Interaction(0, 1, 1.0, 3.0), Interaction(1, 0, 2.0, 2.7)])
-    assert e.banks[0][1] == {UNKNOWN: e.totals[1]}
-    assert e.entries == sum(len(vec) for bank in e.banks for vec in bank) == 3
-    assert e.peak_entries == 3
+    assert e.banks[0] == [{UNKNOWN: e.totals[0]}, {UNKNOWN: e.totals[1]}]
+    assert e.banks[1] == [{0: 2.7}, {UNKNOWN: pytest.approx(e.totals[1])}]
+    assert e.entries == sum(len(vec) for bank in e.banks for vec in bank) == 4
+    assert e.peak_entries == 4
 
 
 def test_window_validation():
