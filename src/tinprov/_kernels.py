@@ -1,17 +1,24 @@
 """Compiled replay kernels (C, loaded with ctypes).
 
-Long path-free replays are dominated by per-parcel interpreter overhead, so
-the element engines' ``run()`` hands whole streams of ``MIN_STREAM`` or more
-interactions to these kernels; :func:`accepts` holds that rule for both
-engines.  :func:`replay_receipt` and :func:`replay_gentime` copy a kernel's
-totals and counters into the engine and return its parcels, from which the
-engine rebuilds its buffers.  The C source ships inside the package
-(``_replay.c``).  It is compiled with the system ``cc`` on the first kernel
-use, or by :func:`warmup`, into a per-process temporary directory, and the
-library is loaded from there.  NumPy, which holds the arrays a kernel
-reads and writes, is imported by the functions that build those arrays, so
-importing the package loads neither a compiler nor NumPy.  Call
-:func:`warmup` once to keep the build (about 0.2 s) out of timings.
+Path-free replays are dominated by per-parcel interpreter overhead, so the
+element engines' ``run()`` hands every stream that :func:`accepts` allows to
+these kernels, whatever its length.  :func:`replay_receipt` and
+:func:`replay_gentime` copy a kernel's totals and counters into the engine
+and return its parcels, from which the engine rebuilds its buffers.
+
+The C source ships inside the package (``_replay.c``).  The first kernel use
+in a process, or :func:`warmup`, loads the library cached beside it as
+``__pycache__/_replay.<key>.so``, where the key hashes the source, the
+compiler flags and the platform.  Only when no cached library loads is the
+source compiled, once, with the system ``cc`` (about 0.3 s), under a unique
+temporary name that is then moved into place, so a concurrent process never
+loads a partial file.  Where that directory cannot be written, each process
+builds its own copy in a temporary directory.  Deleting the cached files
+forces a rebuild.
+
+Importing the package loads neither a compiler nor NumPy, and the kernels
+read and write ``array`` buffers, so a replay never loads NumPy either.
+Vertex indices are checked in C before a replay starts.
 
 Semantics are identical to the engines' ``process()`` paths: the same
 selection rule, split/dust rule, newborn rule, baseline total arithmetic and,
@@ -22,24 +29,25 @@ two.  Without a C compiler the engines run pure Python.
 
 from __future__ import annotations
 
-import ctypes
+import gc
 import logging
+import os
 import shutil
-import tempfile
-from itertools import accumulate, chain
+import sys
+from itertools import chain, islice
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
 _SOURCE = Path(__file__).with_name("_replay.c")
+_CACHE_DIR = _SOURCE.with_name("__pycache__")
 _CC = shutil.which("cc")
+_FLAGS = ("-O2", "-shared", "-fPIC")
 
-#: True while the C kernels can be built: a C compiler is on PATH and no
-#: build has failed in this process.
+#: True while the C kernels can be used: a C compiler is on PATH and no
+#: build has failed in this process.  Setting it False keeps the engines on
+#: pure Python.
 AVAILABLE = _CC is not None
-
-#: streams shorter than this are not worth the array conversion
-MIN_STREAM = 100_000
 
 #: records per block of ``stream_arrays``
 _BLOCK = 1 << 16
@@ -48,74 +56,112 @@ _lib = None
 
 
 def stream_arrays(stream):
-    """Column arrays (source, dest, time, quantity) for a materialized stream.
+    """The records of a materialized stream as one flat ``array('d')``.
 
-    Records are read as float64 in one pass per block of ``_BLOCK``, so the
-    temporary rows stay small next to the columns.  Vertex indices, all
-    below 2**53, come back exact as int64.
+    Each record contributes its source, dest, time and quantity in turn.  The
+    buffer is built one block of ``_BLOCK`` records at a time, so the
+    temporary list stays small next to it.  Vertex indices, all below 2**53,
+    are exact as doubles.
     """
-    import numpy as np
+    from array import array  # imported late: runs without a kernel never need it
 
-    n = len(stream)
-    columns = [np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n)]
-    for start in range(0, n, _BLOCK):
-        block = stream[start:start + _BLOCK]
-        rows = np.fromiter(chain.from_iterable(block), np.float64, 4 * len(block))
-        for column, values in zip(columns, rows.reshape(-1, 4).T):
-            column[start:start + len(block)] = values
-    return columns
+    records = array("d")
+    for start in range(0, len(stream), _BLOCK):
+        records += array("d", list(chain.from_iterable(stream[start:start + _BLOCK])))
+    return records
 
 
-def _build():
-    """Compile ``_replay.c`` in a temporary directory and load the library."""
+def _cache_path() -> Path:
+    """Where the library built from the current source is cached.
+
+    The key is a CRC-32 of the source, the compiler flags and the platform.
+    A SHA-256 would need a module whose load alone, 0.5 ms (CPython's own)
+    or 3.4 MB of resident memory (OpenSSL's), outweighs a short replay.
+    """
+    import zlib
+
+    machine = os.uname().machine if hasattr(os, "uname") else ""
+    key = zlib.crc32(_SOURCE.read_bytes())
+    key = zlib.crc32(" ".join((*_FLAGS, sys.platform, machine)).encode(), key)
+    return _CACHE_DIR / f"_replay.{key:08x}.so"
+
+
+def _compile(so) -> None:
+    """Compile ``_replay.c`` to ``so``; a failed compile raises OSError."""
     import subprocess
 
-    import numpy as np
+    done = subprocess.run(
+        [_CC, *_FLAGS, "-o", str(so), str(_SOURCE)], capture_output=True, text=True
+    )
+    if done.returncode:
+        raise OSError(f"{_CC} exited with {done.returncode}: {done.stderr.strip()}")
 
-    with tempfile.TemporaryDirectory(prefix="tinprov-") as tmp:
-        so = str(Path(tmp) / "replay.so")
-        subprocess.run(
-            [_CC, "-O2", "-shared", "-fPIC", "-o", so, str(_SOURCE)],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        lib = ctypes.CDLL(so)  # stays mapped after the file is removed
 
-    def arr(dtype):
-        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+def _load():
+    """Load the cached library, compiling it when none loads."""
+    import ctypes  # imported late, like array
 
-    i64, f64 = arr(np.int64), arr(np.float64)
-    c_i64, c_f64 = ctypes.c_int64, ctypes.c_double
+    cached = _cache_path()
+    try:
+        return ctypes.CDLL(str(cached))
+    except OSError:
+        pass  # not built yet, or not a loadable library: build it
+    import tempfile
+
+    try:
+        cached.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=cached.stem + ".", suffix=".tmp", dir=cached.parent)
+    except OSError as exc:
+        logger.info("cannot cache the replay kernels (%s); building for this process", exc)
+        with tempfile.TemporaryDirectory(prefix="tinprov-") as tmp:
+            so = Path(tmp) / "replay.so"
+            _compile(so)
+            return ctypes.CDLL(str(so))  # stays mapped after the file is removed
+    os.close(fd)
+    try:
+        _compile(tmp)
+        os.chmod(tmp, 0o755)  # mkstemp makes it private; other users load it too
+        os.replace(tmp, cached)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return ctypes.CDLL(str(cached))
+
+
+def _declare(lib):
+    """Set the kernels' signatures; every array is passed by address."""
+    import ctypes
+
+    c_i64, c_f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.replay_receipt.restype = c_i64
     lib.replay_receipt.argtypes = [
-        c_i64, i64, i64, f64, c_i64, ctypes.c_int, c_f64,  # stream and settings
-        f64, f64, f64, i64, f64, i64,  # totals, generated, cum_nb, parcels, counts
+        c_i64, ptr, c_i64, ctypes.c_int, c_f64,  # stream and settings
+        ptr, ptr, ptr, ptr, ptr, ptr,  # totals, generated, cum_nb, parcels, counts
     ]
     lib.replay_gentime.restype = c_i64
     lib.replay_gentime.argtypes = [
-        c_i64, i64, i64, f64, f64, c_i64, c_f64, c_f64,  # stream and settings
-        f64, f64, f64, i64, f64, f64, i64, i64,  # totals, generated, cum_nb, parcels, counts
+        c_i64, ptr, c_i64, c_f64, c_f64,  # stream and settings
+        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,  # totals, generated, cum_nb, parcels, counts
     ]
     return lib
 
 
 def warmup() -> bool:
-    """Build and load the kernels unless done already; returns availability.
+    """Load the kernels unless done already; returns whether they are available.
 
-    A failed build is logged once and leaves the engines on pure Python.
+    A process loads the cached library, which takes under a millisecond, or
+    compiles it first (about 0.3 s) when none loads.  Call this once to keep
+    either out of a timing.  A failed build is logged once and leaves the
+    engines on pure Python.
     """
     global _lib, AVAILABLE
     if _lib is None and AVAILABLE:
-        import subprocess  # imported late: it is only needed for the build
-
         try:
-            _lib = _build()
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", None) or exc
-            logger.warning("C replay kernels unavailable, using pure Python: %s", detail)
+            _lib = _declare(_load())
+        except OSError as exc:
+            logger.warning("C replay kernels unavailable, using pure Python: %s", exc)
             AVAILABLE = False
-    return _lib is not None
+    return AVAILABLE and _lib is not None
 
 
 def accepts(engine, stream) -> bool:
@@ -123,8 +169,7 @@ def accepts(engine, stream) -> bool:
 
     The kernels start from empty buffers and keep neither routes nor merged
     parcels, so the engine must be fresh, with route tracking and coalescing
-    off.  The stream must be a list or tuple of ``MIN_STREAM`` or more
-    interactions, and the kernels must build.
+    off.  The stream must be a list or tuple, and the kernels must load.
     """
     return (
         engine.paths is None
@@ -132,49 +177,68 @@ def accepts(engine, stream) -> bool:
         and engine.interactions_processed == 0
         and engine.entries == 0
         and isinstance(stream, (list, tuple))
-        and len(stream) >= MIN_STREAM
         and warmup()
     )
 
 
-def by_vertex(items: list, counts: list[int]) -> list[list]:
-    """Cut ``items`` into consecutive lists, ``counts[v]`` long for vertex v."""
-    bounds = [0, *accumulate(counts)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+def by_vertex(make, items, counts: list[int]) -> list:
+    """``make`` applied to consecutive runs of the iterable ``items``,
+    ``counts[v]`` long for vertex v.
+
+    The cyclic garbage collector is paused meanwhile.  The buffers are new
+    containers without cycles, and the collections that building a million
+    of them would trigger, each scanning the stream, cost several times the
+    build itself.
+    """
+    items = iter(items)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [make(islice(items, c)) for c in counts]
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _replay(kernel, engine, columns, setting, parcel_dtypes):
-    """Run ``kernel`` over the stream ``columns`` into a fresh ``engine``.
+def _zeros(typecode: str, n: int):
+    """An ``array`` of ``n`` zeros of an 8-byte ``typecode``."""
+    from array import array
+
+    return array(typecode, bytes(8 * n))
+
+
+def _address(buf) -> int:
+    return buf.buffer_info()[0]
+
+
+def _replay(kernel, engine, stream, setting, parcel_types):
+    """Run ``kernel`` over ``stream`` into a fresh ``engine``.
 
     Copies the kernel's totals, generated mass, cumulative newborn mass,
     entry counts and interaction count into the engine.  Returns the live
     parcels as one list per parcel field, in buffer order, vertex by vertex,
-    and the per-vertex parcel counts.
+    and the per-vertex parcel counts, which :func:`by_vertex` cuts them by.
     """
-    import numpy as np
-
-    src, dst = columns[0], columns[1]
-    n, nv = src.size, engine.n_vertices
-    if n and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
-        raise IndexError(f"vertex index outside [0, {nv})")
-    totals = np.zeros(nv)
-    generated = np.zeros(nv)
-    cum_nb = np.zeros(1)
+    records = stream_arrays(stream)
+    n, nv = len(stream), engine.n_vertices
+    totals, generated, cum_nb = _zeros("d", nv), _zeros("d", nv), _zeros("d", 1)
     # at most one split copy and one newborn per interaction
-    parcels = [np.empty(2 * n + 1, dtype) for dtype in parcel_dtypes]
-    counts = np.empty(nv, np.int64)
-    entries = kernel(
-        n, *columns, nv, setting, engine.epsilon,
-        totals, generated, cum_nb, *parcels, counts,
-    )
+    parcels = [_zeros(t, 2 * n + 1) for t in parcel_types]
+    counts = _zeros("q", nv)
+    outputs = (totals, generated, cum_nb, *parcels, counts)
+    entries = kernel(n, _address(records), nv, setting, engine.epsilon, *map(_address, outputs))
+    del records  # freed before the parcel lists are built
+    if entries == -2:
+        raise IndexError(f"vertex index outside [0, {nv})")
     if entries < 0:
         raise MemoryError("replay kernel could not allocate its parcel pools")
     engine.totals = totals.tolist()
     engine.generated = generated.tolist()
-    engine.cumulative_newborn = float(cum_nb[0])
+    engine.cumulative_newborn = cum_nb[0]
     engine.entries = entries
     engine.peak_entries = max(engine.peak_entries, entries)
     engine.interactions_processed = n
+    engine.backend = "compiled"
     return [p[:entries].tolist() for p in parcels], counts.tolist()
 
 
@@ -184,8 +248,7 @@ def replay_receipt(engine, stream, lifo: bool):
     Returns ``[origins, quantities], counts``: every live parcel in buffer
     order (front to back, FIFO and LIFO alike).
     """
-    src, dst, _, qty = stream_arrays(stream)
-    return _replay(_lib.replay_receipt, engine, (src, dst, qty), int(lifo), ("int64", "float64"))
+    return _replay(_lib.replay_receipt, engine, stream, int(lifo), "qd")
 
 
 def replay_gentime(engine, stream, sign: float):
@@ -195,7 +258,4 @@ def replay_gentime(engine, stream, sign: float):
     in heap-array order.  A parcel's sequence number is its creation index,
     so the next free one is ``engine.entries``.
     """
-    return _replay(
-        _lib.replay_gentime, engine, stream_arrays(stream), sign,
-        ("int64", "float64", "float64", "int64"),
-    )
+    return _replay(_lib.replay_gentime, engine, stream, sign, "qddq")

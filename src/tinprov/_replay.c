@@ -10,9 +10,12 @@
  * kernel parks the selection on a spare buffer (index nv) and moves it to the
  * destination, in selection order, once selection ends.
  *
- * Both kernels end by writing every vertex's parcels in buffer order, vertex
- * by vertex, with counts[v] parcels for vertex v.  They return the number of
- * live parcels, or -1 when memory runs out.
+ * Both kernels read the stream as one flat array of records, four doubles
+ * each (source, dest, time, quantity).  They first check that every source
+ * and dest is a vertex index in [0, nv), and return -2 without replaying
+ * when one is not.  They end by writing every vertex's parcels in buffer
+ * order, vertex by vertex, with counts[v] parcels for vertex v, and return
+ * the number of live parcels, or -1 when memory runs out.
  */
 
 #include <stdint.h>
@@ -35,6 +38,15 @@ static void put(int64_t j, int64_t d, int lifo, int64_t *next, int64_t *head, in
     }
 }
 
+/* Whether every record's source and dest lies in [0, nv); NaN does not. */
+static int vertices_valid(int64_t n, const double *rec, int64_t nv)
+{
+    for (int64_t i = 0; i < 4 * n; i += 4)
+        if (!(rec[i] >= 0 && rec[i] < nv && rec[i + 1] >= 0 && rec[i + 1] < nv))
+            return 0;
+    return 1;
+}
+
 /* Baseline total update shared by both kernels. */
 static void settle(int64_t s, int64_t d, double rq, double *totals, double *generated,
                    double *cum_nb)
@@ -50,10 +62,12 @@ static void settle(int64_t s, int64_t d, double rq, double *totals, double *gene
     }
 }
 
-int64_t replay_receipt(int64_t n, const int64_t *src, const int64_t *dst, const double *qty,
-                       int64_t nv, int lifo, double eps, double *totals, double *generated,
-                       double *cum_nb, int64_t *out_orig, double *out_qty, int64_t *counts)
+int64_t replay_receipt(int64_t n, const double *rec, int64_t nv, int lifo, double eps,
+                       double *totals, double *generated, double *cum_nb, int64_t *out_orig,
+                       double *out_qty, int64_t *counts)
 {
+    if (!vertices_valid(n, rec, nv))
+        return -2;
     int64_t pcap = 2 * n + 1; /* at most one split and one newborn per interaction */
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pqty = malloc(pcap * sizeof *pqty);
@@ -67,12 +81,12 @@ int64_t replay_receipt(int64_t n, const int64_t *src, const int64_t *dst, const 
     }
     for (int64_t v = 0; v <= nv; v++)
         head[v] = tail[v] = -1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t s = src[i], d = dst[i];
+    for (const double *r = rec; r < rec + 4 * n; r += 4) {
+        int64_t s = (int64_t)r[0], d = (int64_t)r[1];
         /* the spare list nv is always a queue, so it keeps selection order */
         int64_t to = s == d ? nv : d;
         int to_lifo = s == d ? 0 : lifo;
-        double resq = qty[i];
+        double resq = r[3];
         while (resq > 0.0 && head[s] >= 0) {
             int64_t h = head[s];
             double tq = pqty[h];
@@ -104,7 +118,7 @@ int64_t replay_receipt(int64_t n, const int64_t *src, const int64_t *dst, const 
             pqty[j] = resq;
             put(j, d, lifo, next, head, tail);
         }
-        settle(s, d, qty[i], totals, generated, cum_nb);
+        settle(s, d, r[3], totals, generated, cum_nb);
     }
     /* a LIFO list runs top to bottom, so it is written back to front */
     int64_t k = 0;
@@ -214,11 +228,12 @@ static int push(arena *A, int64_t d, int64_t j, const order *o)
     return 0;
 }
 
-int64_t replay_gentime(int64_t n, const int64_t *src, const int64_t *dst, const double *tms,
-                       const double *qty, int64_t nv, double sign, double eps, double *totals,
-                       double *generated, double *cum_nb, int64_t *out_orig, double *out_birth,
-                       double *out_qty, int64_t *out_seq, int64_t *counts)
+int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double sign, double eps,
+                       double *totals, double *generated, double *cum_nb, int64_t *out_orig,
+                       double *out_birth, double *out_qty, int64_t *out_seq, int64_t *counts)
 {
+    if (!vertices_valid(n, rec, nv))
+        return -2;
     int64_t pcap = 2 * n + 1;
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pbirth = malloc(pcap * sizeof *pbirth);
@@ -233,10 +248,10 @@ int64_t replay_gentime(int64_t n, const int64_t *src, const int64_t *dst, const 
     int64_t nalloc = 0;
     if (!porig || !pbirth || !pkey || !pqty || !A.a || !A.off || !A.sz || !A.cap)
         goto fail;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t s = src[i], d = dst[i];
+    for (const double *r = rec; r < rec + 4 * n; r += 4) {
+        int64_t s = (int64_t)r[0], d = (int64_t)r[1];
         int64_t to = s == d ? nv : d;
-        double resq = qty[i];
+        double resq = r[3];
         while (resq > 0.0 && A.sz[s] > 0) {
             int64_t top = A.a[A.off[s]];
             double tq = pqty[top];
@@ -267,13 +282,13 @@ int64_t replay_gentime(int64_t n, const int64_t *src, const int64_t *dst, const 
         if (resq > 0.0) {
             int64_t j = nalloc++;
             porig[j] = s;
-            pbirth[j] = tms[i];
-            pkey[j] = sign * tms[i];
+            pbirth[j] = r[2];
+            pkey[j] = sign * r[2];
             pqty[j] = resq;
             if (push(&A, d, j, &o))
                 goto fail;
         }
-        settle(s, d, qty[i], totals, generated, cum_nb);
+        settle(s, d, r[3], totals, generated, cum_nb);
     }
     int64_t k = 0;
     for (int64_t v = 0; v < nv; v++) {

@@ -256,6 +256,8 @@ class EngineBase:
     """Shared per-vertex total accounting (identical across all policies)."""
 
     policy: Policy
+    #: how run() replayed: "compiled" (a C kernel) or "python"
+    backend = "python"
 
     def __init__(self, n_vertices: int, epsilon: float = 1e-9) -> None:
         if not (isfinite(epsilon) and epsilon >= 0):

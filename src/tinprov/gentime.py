@@ -14,8 +14,8 @@ index, then creation order).  A parcel moved whole keeps its ``seq``, and so
 its place in the order.
 
 ``process()`` is the one per-interaction replay loop; ``run()`` reuses it,
-or hands a long path-free replay to the C kernel in ``_kernels``, which
-builds the same heaps.
+or hands a path-free replay of a fresh engine to the C kernel in
+``_kernels``, which builds the same heaps.
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ class GenTimeEngine(EngineBase):
             _kernels.replay_gentime(self, stream, self._sign)
         )
         sign = self._sign
-        parcels = [
+        parcels = (
             [sign * b, o, k, b, q, NO_PATH]
             for o, b, q, k in zip(origins, births, quantities, seqs)
-        ]
-        self.buffers = _kernels.by_vertex(parcels, counts)
+        )
+        self.buffers = _kernels.by_vertex(list, parcels, counts)
         self._seq = self.entries
         return self
 

@@ -95,9 +95,8 @@ class ReceiptEngine(EngineBase):
     def _run_kernel(self, stream) -> "ReceiptEngine":
         """Replay via the compiled kernel and fill the buffers from its parcels."""
         (origins, quantities), counts = _kernels.replay_receipt(self, stream, self._lifo)
-        parcels = list(zip(origins, quantities, repeat(NO_PATH)))
-        make = list if self._lifo else deque
-        self._buffers = [make(b) for b in _kernels.by_vertex(parcels, counts)]
+        parcels = zip(origins, quantities, repeat(NO_PATH))
+        self._buffers = _kernels.by_vertex(list if self._lifo else deque, parcels, counts)
         return self
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:

@@ -11,6 +11,7 @@ class RunReport:
     interactions: int
     wall_time_s: float
     peak_entries: int
+    backend: str = "python"
     dropped_dust: float = 0.0
     shrink_avg: Optional[float] = None
     shrink_pct: Optional[float] = None
@@ -24,6 +25,7 @@ class RunReport:
             f"wall_time_s: {self.wall_time_s:.6f}",
             f"peak_entries: {self.peak_entries}",
             f"dropped_dust: {self.dropped_dust:.12g}",
+            f"backend: {self.backend}",
         ]
         if self.shrink_avg is not None:
             lines.append(f"shrink_avg: {self.shrink_avg:.6g}")
@@ -43,6 +45,7 @@ def build_report(engine, wall_time_s: float, alerts: int = 0) -> RunReport:
         interactions=engine.interactions_processed,
         wall_time_s=wall_time_s,
         peak_entries=engine.peak_entries,
+        backend=engine.backend,
         promoted_rows=getattr(engine, "promoted_rows", None),
         alerts=alerts,
     )

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from tinprov import EngineConfig, Interaction, Policy, build_engine
+from tinprov import EngineConfig, Interaction, Policy, _kernels, build_engine
 
 # the six-interaction example used by all the golden tables (v0, v1, v2 = 0, 1, 2)
 EXAMPLE = [
@@ -25,6 +25,19 @@ EXAMPLE = [
 @pytest.fixture
 def example_stream():
     return list(EXAMPLE)
+
+
+@pytest.fixture
+def pure_python(monkeypatch):
+    """Keep every engine's run() on its pure-Python loop."""
+    monkeypatch.setattr(_kernels, "AVAILABLE", False)
+
+
+@pytest.fixture
+def compiled():
+    """Load the C kernels, or skip the test when they cannot be built."""
+    if not _kernels.warmup():
+        pytest.skip("no C compiler to build the replay kernels")
 
 
 def rand_stream(n_vertices, n_interactions, seed, self_loops=False, max_q=50):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tinprov
+from tinprov import _kernels
 from tinprov.cli import main
 
 EXAMPLE_CSV = """\
@@ -350,7 +351,8 @@ def test_usage_errors(argv, capsys):
 
 
 def test_import_loads_no_numpy(example_file, tmp_path):
-    """NumPy is loaded by the first promoted row and the C kernels, not on import or small runs."""
+    """Only a promoted proportional row loads NumPy: not an import, a small
+    or budgeted prop-sparse run, or an element run through the C kernels."""
     script = (
         "import sys, tinprov, tinprov.cli\n"
         "if sys.argv[1:]:\n"
@@ -360,11 +362,30 @@ def test_import_loads_no_numpy(example_file, tmp_path):
     src = str(Path(tinprov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     run = ["run", example_file, "-o", str(tmp_path / "snap.csv"), "--policy", "prop-sparse"]
-    for argv in ([], run, [*run, "--budget", "C=3,f=0.7"]):
+    fifo, lrb = [*run[:-1], "fifo"], [*run[:-1], "lrb"]
+    for argv in ([], run, [*run, "--budget", "C=3,f=0.7"], fifo, lrb):
         done = subprocess.run(
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False", argv
+
+
+@pytest.mark.parametrize(
+    "options, backend",
+    [
+        (["--policy", "fifo"], "compiled"),
+        (["--policy", "fifo", "--paths"], "python"),
+        (["--policy", "prop-sparse"], "python"),
+        ([], "python"),
+    ],
+    ids=["fifo", "fifo-paths", "prop-sparse", "noprov"],
+)
+def test_report_names_backend(example_file, capsys, options, backend):
+    if backend == "compiled" and not _kernels.warmup():
+        backend = "python"
+    code, _, err = run_cli(["run", example_file, *options], capsys)
+    assert code == 0
+    assert f"\nbackend: {backend}\n" in err
 
 
 def test_config_errors_reported_as_usage(example_file, capsys):

@@ -55,15 +55,17 @@ def test_oracle_agreement(most_recent):
             assert eng.totals == orc.totals
 
 
-def assert_run_matches_process(most_recent):
-    """run() on a fresh engine builds the same heaps, in the same layout, as
-    stepwise process(), and stays in step after the replay."""
+def assert_run_matches_process(most_recent, backend):
+    """run() on a fresh engine, through ``backend``, builds the same heaps, in
+    the same layout, as stepwise process(), and stays in step after the
+    replay."""
     for seed in range(5):
         stream = rand_stream(12, 400, seed, self_loops=True)
         ref = GenTimeEngine(12, most_recent=most_recent)
         for r in stream:
             ref.process(r)
         e = GenTimeEngine(12, most_recent=most_recent).run(stream)
+        assert e.backend == backend
         assert e.buffers == ref.buffers
         assert e.totals == ref.totals
         assert e.generated == ref.generated
@@ -76,32 +78,27 @@ def assert_run_matches_process(most_recent):
 
 
 @pytest.mark.parametrize("most_recent", [False, True])
-def test_run_paths_agree(most_recent):
-    """run() below the kernel's stream length, which replays through
-    process(), gives the same heaps as stepwise process()."""
-    assert_run_matches_process(most_recent)
+def test_run_paths_agree(most_recent, pure_python):
+    """The pure-Python run() loop gives the same heaps as stepwise process()."""
+    assert_run_matches_process(most_recent, "python")
 
 
-@pytest.mark.skipif(not _kernels.AVAILABLE, reason="no C compiler to build the replay kernels")
 @pytest.mark.parametrize("most_recent", [False, True])
-def test_kernel_agrees_with_process(most_recent, monkeypatch):
+def test_kernel_agrees_with_process(most_recent, compiled):
     """The compiled kernel gives the same heaps as process()."""
-    assert _kernels.warmup()
-    monkeypatch.setattr(_kernels, "MIN_STREAM", 1)
-    assert_run_matches_process(most_recent)
+    assert_run_matches_process(most_recent, "compiled")
 
 
 def test_kernel_takes_only_fresh_plain_replays(monkeypatch):
     """The kernels start empty and keep no routes or merge maps, so run()
-    hands them only long, materialized streams for fresh plain engines."""
-    monkeypatch.setattr(_kernels, "MIN_STREAM", 3)
+    hands them materialized streams, of any length, for fresh plain engines."""
     monkeypatch.setattr(_kernels, "warmup", lambda: True)
     stream = rand_stream(5, 3, 0)
     used = GenTimeEngine(5)
     used.process(stream[0])
     assert _kernels.accepts(GenTimeEngine(5), stream)
     assert _kernels.accepts(ReceiptEngine(5, lifo=True), tuple(stream))
-    assert not _kernels.accepts(GenTimeEngine(5), stream[:2])
+    assert _kernels.accepts(GenTimeEngine(5), stream[:1])
     assert not _kernels.accepts(GenTimeEngine(5), iter(stream))
     assert not _kernels.accepts(GenTimeEngine(5, coalesce=True), stream)
     assert not _kernels.accepts(GenTimeEngine(5, track_paths=True), stream)

@@ -4,7 +4,6 @@ import pytest
 from conftest import multiset, rand_stream
 
 from tinprov import Interaction, Oracle, Policy, ReceiptEngine
-from tinprov import _kernels
 
 # per-origin (origin, quantity) multisets after each example interaction (LIFO)
 LIFO_ROWS = [
@@ -56,14 +55,16 @@ def test_oracle_agreement(lifo):
             assert eng.totals == orc.totals
 
 
-def assert_run_matches_process(lifo):
-    """run() on a fresh engine equals stepwise process(), also after the replay."""
+def assert_run_matches_process(lifo, backend):
+    """run() on a fresh engine, through ``backend``, equals stepwise
+    process(), also after the replay."""
     for seed in range(5):
         stream = rand_stream(12, 400, seed, self_loops=True)
         ref = ReceiptEngine(12, lifo=lifo)
         for r in stream:
             ref.process(r)
         e = ReceiptEngine(12, lifo=lifo).run(stream)
+        assert e.backend == backend
         assert [e.snapshot(v) for v in range(12)] == [ref.snapshot(v) for v in range(12)]
         assert e.totals == ref.totals
         assert e.generated == ref.generated
@@ -77,27 +78,15 @@ def assert_run_matches_process(lifo):
 
 
 @pytest.mark.parametrize("lifo", [False, True])
-def test_run_paths_agree(lifo):
+def test_run_paths_agree(lifo, pure_python):
     """process() and the pure-Python run() loop give one answer."""
-    assert_run_matches_process(lifo)
+    assert_run_matches_process(lifo, "python")
 
 
-@pytest.mark.skipif(not _kernels.AVAILABLE, reason="no C compiler to build the replay kernels")
 @pytest.mark.parametrize("lifo", [False, True])
-def test_kernel_agrees_with_process(lifo, monkeypatch):
+def test_kernel_agrees_with_process(lifo, compiled):
     """The compiled kernel gives the same buffers, in order, as process()."""
-    assert _kernels.warmup()
-    monkeypatch.setattr(_kernels, "MIN_STREAM", 1)
-    assert_run_matches_process(lifo)
-
-
-def test_stream_arrays_are_the_record_columns(monkeypatch):
-    monkeypatch.setattr(_kernels, "_BLOCK", 3)  # several blocks, the last one short
-    stream = rand_stream(5, 10, seed=2)
-    columns = _kernels.stream_arrays(stream)
-    assert [c.dtype.name for c in columns] == ["int64", "int64", "float64", "float64"]
-    assert all(c.flags.c_contiguous for c in columns)
-    assert [c.tolist() for c in columns] == [list(col) for col in zip(*stream)]
+    assert_run_matches_process(lifo, "compiled")
 
 
 def test_lifo_split_remainder_stays_on_top():

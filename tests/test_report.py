@@ -3,6 +3,7 @@
 from tinprov import (
     BudgetSpec,
     EngineConfig,
+    NoProvEngine,
     Policy,
     ProportionalSparseEngine,
     ReceiptEngine,
@@ -20,6 +21,7 @@ def test_render_basic_lines():
     assert lines[1] == "wall_time_s: 0.250000"
     assert lines[2] == "peak_entries: 4"
     assert lines[3] == "dropped_dust: 0"
+    assert lines[4] == "backend: python"
     assert lines[-1] == "alerts: 0"
     assert not any(line.startswith(("shrink", "promoted_rows")) for line in lines)
 
@@ -52,6 +54,19 @@ def test_build_report_element_engine(example_stream):
     assert report.shrink_avg is None and report.shrink_pct is None
     assert report.avg_path_length == engine.average_path_length()
     assert report.promoted_rows is None
+    assert report.backend == "python"  # routes keep the replay in Python
+
+
+def test_build_report_names_backend(example_stream, compiled):
+    compiled_run = build_report(ReceiptEngine(3).run(example_stream), wall_time_s=0.0)
+    assert compiled_run.backend == "compiled"
+    assert "backend: compiled" in compiled_run.render().splitlines()
+    stepped = ReceiptEngine(3)
+    for r in example_stream:
+        stepped.process(r)
+    assert build_report(stepped, wall_time_s=0.0).backend == "python"
+    for engine in (NoProvEngine(3), ProportionalSparseEngine(3)):
+        assert build_report(engine.run(example_stream), wall_time_s=0.0).backend == "python"
 
 
 def test_build_report_budget_engine():

@@ -20,11 +20,6 @@ from hypothesis import strategies as st
 
 import tinprov
 from tinprov import GenTimeEngine, Interaction, NoProvEngine, Oracle, Policy, ReceiptEngine
-from tinprov import _kernels
-
-needs_kernels = pytest.mark.skipif(
-    not _kernels.AVAILABLE, reason="no C compiler to build the replay kernels"
-)
 
 ENGINES = {
     "fifo": lambda n, **kw: ReceiptEngine(n, **kw),
@@ -50,10 +45,15 @@ EXPECTED = {
 
 
 @pytest.mark.parametrize("name", list(ENGINES))
-def test_literal_case_process(name):
+def test_literal_case_process(name, pure_python):
+    """process(), the pure-Python run() loop and the Oracle."""
     e = ENGINES[name](2)
     for r in LITERAL:
         e.process(r)
+    assert multiset(e.snapshot(1)) == EXPECTED[name]
+    assert e.totals[1] == 5.0
+    e = ENGINES[name](2).run(LITERAL)
+    assert e.backend == "python"
     assert multiset(e.snapshot(1)) == EXPECTED[name]
     assert e.totals[1] == 5.0
     assert multiset(Oracle(2, POLICIES[name]).run(LITERAL).snapshot(1)) == EXPECTED[name]
@@ -65,13 +65,10 @@ def test_literal_case_coalesce(most_recent):
     assert multiset(e.snapshot(1)) == EXPECTED["lrb"]
 
 
-@needs_kernels
 @pytest.mark.parametrize("name", list(ENGINES))
-def test_literal_case_kernel(name, monkeypatch):
-    monkeypatch.setattr(_kernels, "MIN_STREAM", 1)
-    e = ENGINES[name](2)
-    assert _kernels.accepts(e, LITERAL)
-    e.run(LITERAL)
+def test_literal_case_kernel(name, compiled):
+    e = ENGINES[name](2).run(LITERAL)
+    assert e.backend == "compiled"
     assert multiset(e.snapshot(1)) == EXPECTED[name]
     assert e.totals[1] == 5.0
 
@@ -97,8 +94,7 @@ def test_lifo_self_interaction_rejoins_in_selection_order():
 # interpreter) nor a hypothesis deadline (it fires only after an example
 # returns) can stop that, so the case runs in a child process with a timeout.
 DUST_SCRIPT = """
-from tinprov import GenTimeEngine, Interaction, ReceiptEngine, _kernels
-_kernels.MIN_STREAM = 1
+from tinprov import GenTimeEngine, Interaction, ReceiptEngine
 stream = [Interaction(0, 1, 1.0, 1e-20), Interaction(1, 1, 2.0, 1.0)]
 makes = [
     lambda: ReceiptEngine(2),
@@ -205,17 +201,14 @@ def self_loop_stream(n_vertices, n_interactions, seed):
     return out
 
 
-@needs_kernels
 @pytest.mark.parametrize("name", list(ENGINES))
-def test_kernel_agrees_with_process_on_self_loops(name, monkeypatch):
-    monkeypatch.setattr(_kernels, "MIN_STREAM", 1)
+def test_kernel_agrees_with_process_on_self_loops(name, compiled):
     stream = self_loop_stream(30, 5_000, seed=7)
     ref = ENGINES[name](30)
     for r in stream:
         ref.process(r)
-    e = ENGINES[name](30)
-    assert _kernels.accepts(e, stream)
-    e.run(stream)
+    e = ENGINES[name](30).run(stream)
+    assert e.backend == "compiled"
     assert [e.snapshot(v) for v in range(30)] == [ref.snapshot(v) for v in range(30)]
     assert e.totals == ref.totals
     assert e.entries == ref.entries
