@@ -1,4 +1,4 @@
-"""Compiled replay kernels (C, loaded with ctypes).
+"""Compiled replay kernels (C, built as an extension module).
 
 Path-free replays are dominated by per-parcel interpreter overhead, so the
 element engines' ``run()`` hands every stream that :func:`accepts` allows to
@@ -6,25 +6,29 @@ these kernels, whatever its length.  :func:`replay_receipt` and
 :func:`replay_gentime` copy a kernel's totals and counters into the engine
 and return its parcels, from which the engine rebuilds its buffers.
 
-The C source ships inside the package (``_replay.c``).  The first kernel use
-in a process, or :func:`warmup`, loads the library cached beside it as
-``__pycache__/_replay.<key>.so``, where the key hashes the source, the
-compiler flags and the platform.  Only when no cached library loads is the
-source compiled, once, with the system ``cc`` (about 0.3 s), under a unique
-temporary name that is then moved into place, so a concurrent process never
-loads a partial file.  Where that directory cannot be written, each process
-builds its own copy in a temporary directory.  Deleting the cached files
-forces a rebuild.
+The C source ships inside the package (``_replay.c``) and builds as a
+Python extension module: loading one costs a fraction of a millisecond,
+where importing ``ctypes`` alone costs about 3 ms.  The first kernel use in
+a process, or :func:`warmup`, loads the module cached beside the source as
+``__pycache__/_replay.<key><suffix>``, where the key hashes the source and
+the compiler flags, and the suffix is the interpreter's extension suffix
+(``.cpython-311-x86_64-linux-gnu.so``).  Only when no cached module loads
+is the source compiled, once, with the system ``cc`` and the interpreter's
+headers (about 0.6 s), under a unique temporary name that is then moved
+into place, so a concurrent process never loads a partial file.  Where that
+directory cannot be written, each process builds its own copy in a
+temporary directory.  Deleting the cached files forces a rebuild.
 
 Importing the package loads neither a compiler nor NumPy, and the kernels
-read and write ``array`` buffers, so a replay never loads NumPy either.
-Vertex indices are checked in C before a replay starts.
+read and write ``array`` buffers, passed by address, so a replay never
+loads NumPy either.  Vertex indices are checked in C before a replay starts.
 
 Semantics are identical to the engines' ``process()`` paths: the same
 selection rule, split/dust rule, newborn rule, baseline total arithmetic and,
 for the generation-time heaps, the same ``heapq`` layout.  Results are
 bit-identical to the pure-Python path, and the engines' tests difference the
-two.  Without a C compiler the engines run pure Python.
+two.  Without a C compiler or the Python headers the engines run pure
+Python.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import gc
 import logging
 import os
 import shutil
-import sys
 from itertools import chain, islice
 from pathlib import Path
 
@@ -45,8 +48,8 @@ _CC = shutil.which("cc")
 _FLAGS = ("-O2", "-shared", "-fPIC")
 
 #: True while the C kernels can be used: a C compiler is on PATH and no
-#: build has failed in this process.  Setting it False keeps the engines on
-#: pure Python.
+#: build or load has failed in this process.  Setting it False keeps the
+#: engines on pure Python.
 AVAILABLE = _CC is not None
 
 #: records per block of ``stream_arrays``
@@ -72,51 +75,60 @@ def stream_arrays(stream):
 
 
 def _cache_path() -> Path:
-    """Where the library built from the current source is cached.
+    """Where the module built from the current source is cached.
 
-    The key is a CRC-32 of the source, the compiler flags and the platform.
-    A SHA-256 would need a module whose load alone, 0.5 ms (CPython's own)
-    or 3.4 MB of resident memory (OpenSSL's), outweighs a short replay.
+    The key is a CRC-32 of the source and the compiler flags, and the suffix
+    is the interpreter's extension-module suffix, which names its ABI and
+    platform.  A SHA-256 would need a module whose load alone, 0.5 ms
+    (CPython's own) or 3.4 MB of resident memory (OpenSSL's), outweighs a
+    short replay.
     """
     import zlib
+    from importlib.machinery import EXTENSION_SUFFIXES
 
-    machine = os.uname().machine if hasattr(os, "uname") else ""
-    key = zlib.crc32(_SOURCE.read_bytes())
-    key = zlib.crc32(" ".join((*_FLAGS, sys.platform, machine)).encode(), key)
-    return _CACHE_DIR / f"_replay.{key:08x}.so"
+    key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
+    return _CACHE_DIR / f"_replay.{key:08x}{EXTENSION_SUFFIXES[0]}"
 
 
 def _compile(so) -> None:
     """Compile ``_replay.c`` to ``so``; a failed compile raises OSError."""
     import subprocess
+    import sysconfig
 
+    include = "-I" + sysconfig.get_paths()["include"]
     done = subprocess.run(
-        [_CC, *_FLAGS, "-o", str(so), str(_SOURCE)], capture_output=True, text=True
+        [_CC, *_FLAGS, include, "-o", str(so), str(_SOURCE)], capture_output=True, text=True
     )
     if done.returncode:
         raise OSError(f"{_CC} exited with {done.returncode}: {done.stderr.strip()}")
 
 
-def _load():
-    """Load the cached library, compiling it when none loads."""
-    import ctypes  # imported late, like array
+def _open(so):
+    """The extension module in the file ``so``; ImportError if it does not load."""
+    from importlib.machinery import ExtensionFileLoader, ModuleSpec
 
+    loader = ExtensionFileLoader("tinprov._replay", str(so))
+    return loader.create_module(ModuleSpec(loader.name, loader, origin=loader.path))
+
+
+def _load():
+    """Load the cached module, compiling it when none loads."""
     cached = _cache_path()
     try:
-        return ctypes.CDLL(str(cached))
-    except OSError:
-        pass  # not built yet, or not a loadable library: build it
+        return _open(cached)
+    except ImportError:
+        pass  # not built yet, or not a loadable module: build it
     import tempfile
 
     try:
         cached.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=cached.stem + ".", suffix=".tmp", dir=cached.parent)
+        fd, tmp = tempfile.mkstemp(prefix="_replay.", suffix=".tmp", dir=cached.parent)
     except OSError as exc:
         logger.info("cannot cache the replay kernels (%s); building for this process", exc)
         with tempfile.TemporaryDirectory(prefix="tinprov-") as tmp:
-            so = Path(tmp) / "replay.so"
+            so = Path(tmp) / cached.name
             _compile(so)
-            return ctypes.CDLL(str(so))  # stays mapped after the file is removed
+            return _open(so)  # stays mapped after the file is removed
     os.close(fd)
     try:
         _compile(tmp)
@@ -125,40 +137,22 @@ def _load():
     except BaseException:
         os.unlink(tmp)
         raise
-    return ctypes.CDLL(str(cached))
-
-
-def _declare(lib):
-    """Set the kernels' signatures; every array is passed by address."""
-    import ctypes
-
-    c_i64, c_f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.replay_receipt.restype = c_i64
-    lib.replay_receipt.argtypes = [
-        c_i64, ptr, c_i64, ctypes.c_int, c_f64,  # stream and settings
-        ptr, ptr, ptr, ptr, ptr, ptr,  # totals, generated, cum_nb, parcels, counts
-    ]
-    lib.replay_gentime.restype = c_i64
-    lib.replay_gentime.argtypes = [
-        c_i64, ptr, c_i64, c_f64, c_f64,  # stream and settings
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,  # totals, generated, cum_nb, parcels, counts
-    ]
-    return lib
+    return _open(cached)
 
 
 def warmup() -> bool:
     """Load the kernels unless done already; returns whether they are available.
 
-    A process loads the cached library, which takes under a millisecond, or
-    compiles it first (about 0.3 s) when none loads.  Call this once to keep
+    A process loads the cached module, which takes under a millisecond, or
+    compiles it first (about 0.6 s) when none loads.  Call this once to keep
     either out of a timing.  A failed build is logged once and leaves the
     engines on pure Python.
     """
     global _lib, AVAILABLE
     if _lib is None and AVAILABLE:
         try:
-            _lib = _declare(_load())
-        except OSError as exc:
+            _lib = _load()
+        except (OSError, ImportError) as exc:
             logger.warning("C replay kernels unavailable, using pure Python: %s", exc)
             AVAILABLE = False
     return AVAILABLE and _lib is not None

@@ -16,8 +16,13 @@
  * when one is not.  They end by writing every vertex's parcels in buffer
  * order, vertex by vertex, with counts[v] parcels for vertex v, and return
  * the number of live parcels, or -1 when memory runs out.
+ *
+ * The file is built as a Python extension module; the bindings at its end
+ * take every array by address.
  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -62,9 +67,9 @@ static void settle(int64_t s, int64_t d, double rq, double *totals, double *gene
     }
 }
 
-int64_t replay_receipt(int64_t n, const double *rec, int64_t nv, int lifo, double eps,
-                       double *totals, double *generated, double *cum_nb, int64_t *out_orig,
-                       double *out_qty, int64_t *counts)
+static int64_t replay_receipt(int64_t n, const double *rec, int64_t nv, int lifo, double eps,
+                              double *totals, double *generated, double *cum_nb,
+                              int64_t *out_orig, double *out_qty, int64_t *counts)
 {
     if (!vertices_valid(n, rec, nv))
         return -2;
@@ -228,9 +233,10 @@ static int push(arena *A, int64_t d, int64_t j, const order *o)
     return 0;
 }
 
-int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double sign, double eps,
-                       double *totals, double *generated, double *cum_nb, int64_t *out_orig,
-                       double *out_birth, double *out_qty, int64_t *out_seq, int64_t *counts)
+static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double sign, double eps,
+                              double *totals, double *generated, double *cum_nb,
+                              int64_t *out_orig, double *out_birth, double *out_qty,
+                              int64_t *out_seq, int64_t *counts)
 {
     if (!vertices_valid(n, rec, nv))
         return -2;
@@ -314,4 +320,54 @@ done:
     free(A.sz);
     free(A.cap);
     return nalloc;
+}
+
+/* Python bindings: the settings, then every array's address. */
+#define ADDR(T, a) ((T *)(uintptr_t)(a))
+
+static PyObject *py_replay_receipt(PyObject *self, PyObject *args)
+{
+    long long n, nv, r;
+    int lifo;
+    double eps;
+    unsigned long long rec, tot, gen, nb, orig, qty, counts;
+    if (!PyArg_ParseTuple(args, "LKLidKKKKKK", &n, &rec, &nv, &lifo, &eps, &tot, &gen, &nb, &orig,
+                          &qty, &counts))
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    r = replay_receipt(n, ADDR(const double, rec), nv, lifo, eps, ADDR(double, tot),
+                       ADDR(double, gen), ADDR(double, nb), ADDR(int64_t, orig),
+                       ADDR(double, qty), ADDR(int64_t, counts));
+    Py_END_ALLOW_THREADS
+    return PyLong_FromLongLong(r);
+}
+
+static PyObject *py_replay_gentime(PyObject *self, PyObject *args)
+{
+    long long n, nv, r;
+    double sign, eps;
+    unsigned long long rec, tot, gen, nb, orig, birth, qty, seq, counts;
+    if (!PyArg_ParseTuple(args, "LKLddKKKKKKKK", &n, &rec, &nv, &sign, &eps, &tot, &gen, &nb,
+                          &orig, &birth, &qty, &seq, &counts))
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    r = replay_gentime(n, ADDR(const double, rec), nv, sign, eps, ADDR(double, tot),
+                       ADDR(double, gen), ADDR(double, nb), ADDR(int64_t, orig),
+                       ADDR(double, birth), ADDR(double, qty), ADDR(int64_t, seq),
+                       ADDR(int64_t, counts));
+    Py_END_ALLOW_THREADS
+    return PyLong_FromLongLong(r);
+}
+
+static PyMethodDef methods[] = {
+    {"replay_receipt", py_replay_receipt, METH_VARARGS, NULL},
+    {"replay_gentime", py_replay_gentime, METH_VARARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_replay", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__replay(void)
+{
+    return PyModule_Create(&module);
 }

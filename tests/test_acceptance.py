@@ -74,7 +74,6 @@ def test_criterion_1_baseline_totals():
 
 @criterion(2, "oldest-first buffer sets on the running example")
 def test_criterion_2_oldest_first_buffers():
-    _kernels.warmup()  # load the kernels outside the timed region, as criterion 12 does
     started = time.perf_counter()
     GenTimeEngine(3).run(EXAMPLE)
     elapsed = time.perf_counter() - started
@@ -87,7 +86,6 @@ def test_criterion_2_oldest_first_buffers():
 
 @criterion(3, "last-receipt buffer multisets on the running example")
 def test_criterion_3_lifo_buffers():
-    _kernels.warmup()  # load the kernels outside the timed region, as criterion 12 does
     started = time.perf_counter()
     ReceiptEngine(3, lifo=True).run(EXAMPLE)
     elapsed = time.perf_counter() - started

@@ -9,9 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import kernels_buildable
 
 import tinprov
-from tinprov import _kernels
 from tinprov.cli import main
 
 EXAMPLE_CSV = """\
@@ -381,7 +381,7 @@ def test_import_loads_no_numpy(example_file, tmp_path):
     ids=["fifo", "fifo-paths", "prop-sparse", "noprov"],
 )
 def test_report_names_backend(example_file, capsys, options, backend):
-    if backend == "compiled" and not _kernels.warmup():
+    if backend == "compiled" and not kernels_buildable():
         backend = "python"
     code, _, err = run_cli(["run", example_file, *options], capsys)
     assert code == 0
