@@ -2,9 +2,9 @@
 
 Path-free replays are dominated by per-parcel interpreter overhead, so the
 element engines' ``run()`` hands every stream that :func:`accepts` allows to
-these kernels, whatever its length.  :func:`replay_receipt` and
-:func:`replay_gentime` copy a kernel's totals and counters into the engine
-and return its parcels, from which the engine rebuilds its buffers.
+these kernels, whatever its length.  :func:`replay` makes one call into the
+module, which reads the ``Interaction`` records, replays them and returns
+the engine's totals and its buffers, built as the engine keeps them.
 
 The C source ships inside the package (``_replay.c``) and builds as a
 Python extension module: loading one costs a fraction of a millisecond,
@@ -15,13 +15,13 @@ the compiler flags, and the suffix is the interpreter's extension suffix
 (``.cpython-311-x86_64-linux-gnu.so``).  Only when no cached module loads
 is the source compiled, once, with the system ``cc`` and the interpreter's
 headers (about 0.6 s), under a unique temporary name that is then moved
-into place, so a concurrent process never loads a partial file.  Where that
+into place, so a concurrent process never loads a partial file, and the
+modules this interpreter built from older sources are deleted.  Where that
 directory cannot be written, each process builds its own copy in a
 temporary directory.  Deleting the cached files forces a rebuild.
 
-Importing the package loads neither a compiler nor NumPy, and the kernels
-read and write ``array`` buffers, passed by address, so a replay never
-loads NumPy either.  Vertex indices are checked in C before a replay starts.
+Importing the package loads neither a compiler nor NumPy, and a replay
+never loads NumPy either.  Records are checked in C before a replay starts.
 
 Semantics are identical to the engines' ``process()`` paths: the same
 selection rule, split/dust rule, newborn rule, baseline total arithmetic and,
@@ -33,12 +33,13 @@ Python.
 
 from __future__ import annotations
 
-import gc
 import logging
 import os
 import shutil
-from itertools import chain, islice
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+
+from .paths import NO_PATH
 
 logger = logging.getLogger(__name__)
 
@@ -52,26 +53,7 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 #: engines on pure Python.
 AVAILABLE = _CC is not None
 
-#: records per block of ``stream_arrays``
-_BLOCK = 1 << 16
-
 _lib = None
-
-
-def stream_arrays(stream):
-    """The records of a materialized stream as one flat ``array('d')``.
-
-    Each record contributes its source, dest, time and quantity in turn.  The
-    buffer is built one block of ``_BLOCK`` records at a time, so the
-    temporary list stays small next to it.  Vertex indices, all below 2**53,
-    are exact as doubles.
-    """
-    from array import array  # imported late: runs without a kernel never need it
-
-    records = array("d")
-    for start in range(0, len(stream), _BLOCK):
-        records += array("d", list(chain.from_iterable(stream[start:start + _BLOCK])))
-    return records
 
 
 def _cache_path() -> Path:
@@ -84,7 +66,6 @@ def _cache_path() -> Path:
     short replay.
     """
     import zlib
-    from importlib.machinery import EXTENSION_SUFFIXES
 
     key = zlib.crc32(" ".join(_FLAGS).encode(), zlib.crc32(_SOURCE.read_bytes()))
     return _CACHE_DIR / f"_replay.{key:08x}{EXTENSION_SUFFIXES[0]}"
@@ -137,6 +118,14 @@ def _load():
     except BaseException:
         os.unlink(tmp)
         raise
+    # modules this interpreter built from older sources are never loaded again;
+    # temporary files of builds in flight and other interpreters' modules stay
+    for stale in cached.parent.glob("_replay.*" + EXTENSION_SUFFIXES[0]):
+        if stale != cached:
+            try:
+                stale.unlink()
+            except OSError:
+                pass  # removed meanwhile, or not this user's to remove
     return _open(cached)
 
 
@@ -175,81 +164,21 @@ def accepts(engine, stream) -> bool:
     )
 
 
-def by_vertex(make, items, counts: list[int]) -> list:
-    """``make`` applied to consecutive runs of the iterable ``items``,
-    ``counts[v]`` long for vertex v.
+def replay(engine, stream) -> list:
+    """Replay ``stream`` into a fresh ``engine``; returns its buffers.
 
-    The cyclic garbage collector is paused meanwhile.  The buffers are new
-    containers without cycles, and the collections that building a million
-    of them would trigger, each scanning the stream, cost several times the
-    build itself.
+    Sets the engine's totals, generated and cumulative newborn mass, entry
+    counts, interaction count and backend.  ``buffers[v]`` holds vertex v's
+    parcels in buffer order: ``(origin, quantity, NO_PATH)`` tuples under
+    FIFO/LIFO, heap entries ``[key, origin, seq, birth, quantity, NO_PATH]``
+    under LRB/MRB.  A record that is not four fields raises ValueError, and
+    a source or dest that is not an integer in ``[0, n_vertices)`` raises
+    IndexError, before the engine changes.
     """
-    items = iter(items)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return [make(islice(items, c)) for c in counts]
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _zeros(typecode: str, n: int):
-    """An ``array`` of ``n`` zeros of an 8-byte ``typecode``."""
-    from array import array
-
-    return array(typecode, bytes(8 * n))
-
-
-def _address(buf) -> int:
-    return buf.buffer_info()[0]
-
-
-def _replay(kernel, engine, stream, setting, parcel_types):
-    """Run ``kernel`` over ``stream`` into a fresh ``engine``.
-
-    Copies the kernel's totals, generated mass, cumulative newborn mass,
-    entry counts and interaction count into the engine.  Returns the live
-    parcels as one list per parcel field, in buffer order, vertex by vertex,
-    and the per-vertex parcel counts, which :func:`by_vertex` cuts them by.
-    """
-    records = stream_arrays(stream)
-    n, nv = len(stream), engine.n_vertices
-    totals, generated, cum_nb = _zeros("d", nv), _zeros("d", nv), _zeros("d", 1)
-    # at most one split copy and one newborn per interaction
-    parcels = [_zeros(t, 2 * n + 1) for t in parcel_types]
-    counts = _zeros("q", nv)
-    outputs = (totals, generated, cum_nb, *parcels, counts)
-    entries = kernel(n, _address(records), nv, setting, engine.epsilon, *map(_address, outputs))
-    del records  # freed before the parcel lists are built
-    if entries == -2:
-        raise IndexError(f"vertex index outside [0, {nv})")
-    if entries < 0:
-        raise MemoryError("replay kernel could not allocate its parcel pools")
-    engine.totals = totals.tolist()
-    engine.generated = generated.tolist()
-    engine.cumulative_newborn = cum_nb[0]
-    engine.entries = entries
-    engine.peak_entries = max(engine.peak_entries, entries)
-    engine.interactions_processed = n
+    engine.totals, engine.generated, engine.cumulative_newborn, engine.entries, buffers = (
+        _lib.replay(stream, engine.n_vertices, engine.policy.value, engine.epsilon, NO_PATH)
+    )
+    engine.peak_entries = max(engine.peak_entries, engine.entries)
+    engine.interactions_processed = len(stream)
     engine.backend = "compiled"
-    return [p[:entries].tolist() for p in parcels], counts.tolist()
-
-
-def replay_receipt(engine, stream, lifo: bool):
-    """Replay ``stream`` under FIFO/LIFO into a fresh ``engine``.
-
-    Returns ``[origins, quantities], counts``: every live parcel in buffer
-    order (front to back, FIFO and LIFO alike).
-    """
-    return _replay(_lib.replay_receipt, engine, stream, int(lifo), "qd")
-
-
-def replay_gentime(engine, stream, sign: float):
-    """Replay ``stream`` under LRB (sign 1) or MRB (sign -1) into a fresh ``engine``.
-
-    Returns ``[origins, births, quantities, seqs], counts``: every live parcel
-    in heap-array order.  A parcel's sequence number is its creation index,
-    so the next free one is ``engine.entries``.
-    """
-    return _replay(_lib.replay_gentime, engine, stream, sign, "qddq")
+    return buffers

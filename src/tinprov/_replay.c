@@ -10,15 +10,13 @@
  * kernel parks the selection on a spare buffer (index nv) and moves it to the
  * destination, in selection order, once selection ends.
  *
- * Both kernels read the stream as one flat array of records, four doubles
- * each (source, dest, time, quantity).  They first check that every source
- * and dest is a vertex index in [0, nv), and return -2 without replaying
- * when one is not.  They end by writing every vertex's parcels in buffer
- * order, vertex by vertex, with counts[v] parcels for vertex v, and return
- * the number of live parcels, or -1 when memory runs out.
- *
- * The file is built as a Python extension module; the bindings at its end
- * take every array by address.
+ * Both kernels read the stream as one flat array of checked records, four
+ * doubles each (source, dest, time, quantity).  They end by writing every
+ * vertex's parcels in buffer order, vertex by vertex, with counts[v] parcels
+ * for vertex v, and return the number of live parcels, or -1 when memory
+ * runs out.  The file is built as a Python extension module, whose one
+ * binding, replay(), reads the Interaction records into that array, runs a
+ * kernel and returns the engine's buffers, built from the parcels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -43,15 +41,6 @@ static void put(int64_t j, int64_t d, int lifo, int64_t *next, int64_t *head, in
     }
 }
 
-/* Whether every record's source and dest lies in [0, nv); NaN does not. */
-static int vertices_valid(int64_t n, const double *rec, int64_t nv)
-{
-    for (int64_t i = 0; i < 4 * n; i += 4)
-        if (!(rec[i] >= 0 && rec[i] < nv && rec[i + 1] >= 0 && rec[i + 1] < nv))
-            return 0;
-    return 1;
-}
-
 /* Baseline total update shared by both kernels. */
 static void settle(int64_t s, int64_t d, double rq, double *totals, double *generated,
                    double *cum_nb)
@@ -71,8 +60,6 @@ static int64_t replay_receipt(int64_t n, const double *rec, int64_t nv, int lifo
                               double *totals, double *generated, double *cum_nb,
                               int64_t *out_orig, double *out_qty, int64_t *counts)
 {
-    if (!vertices_valid(n, rec, nv))
-        return -2;
     int64_t pcap = 2 * n + 1; /* at most one split and one newborn per interaction */
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pqty = malloc(pcap * sizeof *pqty);
@@ -238,8 +225,6 @@ static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double s
                               int64_t *out_orig, double *out_birth, double *out_qty,
                               int64_t *out_seq, int64_t *counts)
 {
-    if (!vertices_valid(n, rec, nv))
-        return -2;
     int64_t pcap = 2 * n + 1;
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pbirth = malloc(pcap * sizeof *pbirth);
@@ -322,46 +307,146 @@ done:
     return nalloc;
 }
 
-/* Python bindings: the settings, then every array's address. */
-#define ADDR(T, a) ((T *)(uintptr_t)(a))
-
-static PyObject *py_replay_receipt(PyObject *self, PyObject *args)
+/* Whether x, a record's source or dest, is an integer in [0, nv); NaN is not. */
+static int is_vertex(double x, Py_ssize_t nv)
 {
-    long long n, nv, r;
-    int lifo;
-    double eps;
-    unsigned long long rec, tot, gen, nb, orig, qty, counts;
-    if (!PyArg_ParseTuple(args, "LKLidKKKKKK", &n, &rec, &nv, &lifo, &eps, &tot, &gen, &nb, &orig,
-                          &qty, &counts))
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    r = replay_receipt(n, ADDR(const double, rec), nv, lifo, eps, ADDR(double, tot),
-                       ADDR(double, gen), ADDR(double, nb), ADDR(int64_t, orig),
-                       ADDR(double, qty), ADDR(int64_t, counts));
-    Py_END_ALLOW_THREADS
-    return PyLong_FromLongLong(r);
+    return x >= 0 && x < nv && x == (double)(int64_t)x;
 }
 
-static PyObject *py_replay_gentime(PyObject *self, PyObject *args)
+/* The n records of the tuple stream as four doubles each, or NULL with an
+ * exception set.  Each record is read as a tuple, whose fields cannot change
+ * while they are converted. */
+static double *read_stream(PyObject *stream, Py_ssize_t n, Py_ssize_t nv)
 {
-    long long n, nv, r;
-    double sign, eps;
-    unsigned long long rec, tot, gen, nb, orig, birth, qty, seq, counts;
-    if (!PyArg_ParseTuple(args, "LKLddKKKKKKKK", &n, &rec, &nv, &sign, &eps, &tot, &gen, &nb,
-                          &orig, &birth, &qty, &seq, &counts))
+    double *rec = malloc((4 * n + 1) * sizeof *rec);
+    if (!rec)
+        return (double *)PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *r = PyTuple_GET_ITEM(stream, i);
+        r = PyTuple_Check(r) ? Py_NewRef(r) : PySequence_Tuple(r);
+        if (!r)
+            goto fail;
+        double *x = rec + 4 * i;
+        int ok = PyTuple_GET_SIZE(r) == 4;
+        if (!ok)
+            PyErr_Format(PyExc_ValueError, "record %zd has %zd fields, not 4", i,
+                         PyTuple_GET_SIZE(r));
+        for (int k = 0; ok && k < 4; k++)
+            ok = (x[k] = PyFloat_AsDouble(PyTuple_GET_ITEM(r, k))) != -1.0 || !PyErr_Occurred();
+        Py_DECREF(r);
+        if (!ok)
+            goto fail;
+        if (!is_vertex(x[0], nv) || !is_vertex(x[1], nv)) {
+            PyErr_Format(PyExc_IndexError, "record %zd: vertex index not an integer in [0, %zd)",
+                         i, nv);
+            goto fail;
+        }
+    }
+    return rec;
+fail:
+    free(rec);
+    return NULL;
+}
+
+/* A list of the n doubles at x. */
+static PyObject *floats(const double *x, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    for (Py_ssize_t i = 0; list && i < n; i++) {
+        PyObject *f = PyFloat_FromDouble(x[i]);
+        PyList_SET_ITEM(list, i, f);
+        if (!f)
+            Py_CLEAR(list); /* a list may hold NULL items while it is freed */
+    }
+    return list;
+}
+
+/* One list per vertex of its parcels in buffer order: (origin, quantity,
+ * no_path) tuples under sign 0, else heapq entries [sign * birth, origin,
+ * seq, birth, quantity, no_path].  The collector is paused meanwhile: the
+ * parcels hold no cycles, and the collections that a million new containers
+ * would trigger, each scanning the stream, cost several times the build. */
+static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *orig,
+                         const double *qty, const double *birth, const int64_t *seq,
+                         double sign, PyObject *no_path)
+{
+    int gc = PyGC_Disable();
+    PyObject *bufs = PyList_New(nv);
+    for (Py_ssize_t v = 0, k = 0; bufs && v < nv; v++) {
+        PyObject *buf = PyList_New(counts[v]);
+        for (Py_ssize_t i = 0; buf && i < counts[v]; i++, k++) {
+            PyObject *p = sign ? Py_BuildValue("[dLLddO]", sign * birth[k], (long long)orig[k],
+                                                (long long)seq[k], birth[k], qty[k], no_path)
+                                : Py_BuildValue("(LdO)", (long long)orig[k], qty[k], no_path);
+            PyList_SET_ITEM(buf, i, p);
+            if (!p)
+                Py_CLEAR(buf);
+        }
+        PyList_SET_ITEM(bufs, v, buf);
+        if (!buf)
+            Py_CLEAR(bufs);
+    }
+    if (gc)
+        PyGC_Enable();
+    return bufs;
+}
+
+/* replay(stream, nv, policy, eps, no_path) returns (totals, generated,
+ * cumulative_newborn, entries, buffers); see _kernels.replay. */
+static PyObject *py_replay(PyObject *self, PyObject *args)
+{
+    PyObject *stream, *no_path;
+    Py_ssize_t nv;
+    const char *policy;
+    double eps, cum_nb = 0.0;
+    if (!PyArg_ParseTuple(args, "OnsdO", &stream, &nv, &policy, &eps, &no_path))
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    r = replay_gentime(n, ADDR(const double, rec), nv, sign, eps, ADDR(double, tot),
-                       ADDR(double, gen), ADDR(double, nb), ADDR(int64_t, orig),
-                       ADDR(double, birth), ADDR(double, qty), ADDR(int64_t, seq),
-                       ADDR(int64_t, counts));
-    Py_END_ALLOW_THREADS
-    return PyLong_FromLongLong(r);
+    int lifo = !strcmp(policy, "lifo"); /* sign 0: fifo or lifo */
+    double sign = !strcmp(policy, "lrb") ? 1.0 : !strcmp(policy, "mrb") ? -1.0 : 0.0;
+    if (!sign && !lifo && strcmp(policy, "fifo"))
+        return PyErr_Format(PyExc_ValueError, "no replay kernel for policy %s", policy);
+    if (!PyList_Check(stream) && !PyTuple_Check(stream))
+        return PyErr_Format(PyExc_TypeError, "stream must be a list or tuple, not %.100s",
+                            Py_TYPE(stream)->tp_name);
+    stream = PySequence_Tuple(stream); /* a list could change while it is read */
+    if (!stream)
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(stream);
+    double *rec = read_stream(stream, n, nv);
+    Py_DECREF(stream);
+    if (!rec)
+        return NULL;
+    /* sums: the totals, then generated; each interaction adds at most 2 parcels */
+    int64_t pcap = 2 * n + 1, entries = -1;
+    double *sums = calloc(2 * nv + 1, sizeof *sums);
+    double *qty = malloc(pcap * sizeof *qty), *birth = malloc(pcap * sizeof *birth);
+    int64_t *orig = malloc(pcap * sizeof *orig), *seq = malloc(pcap * sizeof *seq);
+    int64_t *counts = malloc((nv + 1) * sizeof *counts);
+    if (sums && qty && birth && orig && seq && counts) {
+        Py_BEGIN_ALLOW_THREADS
+        entries = sign ? replay_gentime(n, rec, nv, sign, eps, sums, sums + nv, &cum_nb, orig,
+                                        birth, qty, seq, counts)
+                       : replay_receipt(n, rec, nv, lifo, eps, sums, sums + nv, &cum_nb, orig,
+                                        qty, counts);
+        Py_END_ALLOW_THREADS
+    }
+    free(rec); /* before the parcels are built, the replay's peak of memory */
+    PyObject *bufs = entries < 0 ? PyErr_NoMemory()
+                                 : buffers(nv, counts, orig, qty, birth, seq, sign, no_path);
+    PyObject *result = bufs ? Py_BuildValue("NNdLN", floats(sums, nv), floats(sums + nv, nv),
+                                            cum_nb, (long long)entries, bufs)
+                            : NULL;
+    free(sums);
+    free(qty);
+    free(birth);
+    free(orig);
+    free(seq);
+    free(counts);
+    return result;
 }
 
 static PyMethodDef methods[] = {
-    {"replay_receipt", py_replay_receipt, METH_VARARGS, NULL},
-    {"replay_gentime", py_replay_gentime, METH_VARARGS, NULL},
+    {"replay", py_replay, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL},
 };
 

@@ -110,28 +110,14 @@ class GenTimeEngine(EngineBase):
     def run(self, stream) -> "GenTimeEngine":
         """Replay a whole stream; same semantics as repeated process() calls.
 
-        Replays that :func:`_kernels.accepts` go to the compiled kernel.
+        Replays that :func:`_kernels.accepts` go to the compiled kernel, which
+        keeps each heap in the layout ``heapq`` builds, under the same (key,
+        origin, seq) order, so its heaps become the buffers as given.
         """
-        if _kernels.accepts(self, stream):
-            return self._run_kernel(stream)
-        return super().run(stream)
-
-    def _run_kernel(self, stream) -> "GenTimeEngine":
-        """Replay via the compiled kernel and fill the buffer heaps.
-
-        The kernel keeps each heap in the layout ``heapq`` builds, under the
-        same (key, origin, seq) order, so its parcels are valid heaps as given.
-        """
-        (origins, births, quantities, seqs), counts = (
-            _kernels.replay_gentime(self, stream, self._sign)
-        )
-        sign = self._sign
-        parcels = (
-            [sign * b, o, k, b, q, NO_PATH]
-            for o, b, q, k in zip(origins, births, quantities, seqs)
-        )
-        self.buffers = _kernels.by_vertex(list, parcels, counts)
-        self._seq = self.entries
+        if not _kernels.accepts(self, stream):
+            return super().run(stream)
+        self.buffers = _kernels.replay(self, stream)
+        self._seq = self.entries  # a parcel's seq is its creation index
         return self
 
     def snapshot(self, v: int) -> list[tuple[int, float, float]]:

@@ -19,7 +19,6 @@ back on top in reverse.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
 from typing import Optional
 
 from . import _kernels
@@ -86,17 +85,13 @@ class ReceiptEngine(EngineBase):
     def run(self, stream) -> "ReceiptEngine":
         """Replay a whole stream; same semantics as repeated process() calls.
 
-        Replays that :func:`_kernels.accepts` go to the compiled kernel.
+        Replays that :func:`_kernels.accepts` go to the compiled kernel, whose
+        parcel lists become the buffers.
         """
-        if _kernels.accepts(self, stream):
-            return self._run_kernel(stream)
-        return super().run(stream)
-
-    def _run_kernel(self, stream) -> "ReceiptEngine":
-        """Replay via the compiled kernel and fill the buffers from its parcels."""
-        (origins, quantities), counts = _kernels.replay_receipt(self, stream, self._lifo)
-        parcels = zip(origins, quantities, repeat(NO_PATH))
-        self._buffers = _kernels.by_vertex(list if self._lifo else deque, parcels, counts)
+        if not _kernels.accepts(self, stream):
+            return super().run(stream)
+        buffers = _kernels.replay(self, stream)
+        self._buffers = buffers if self._lifo else [deque(b) for b in buffers]
         return self
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:

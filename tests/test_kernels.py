@@ -1,8 +1,9 @@
-"""The compiled kernels' input buffer, their vertex check and the library cache."""
+"""The compiled kernels' record reader, their vertex check and the module cache."""
 
 import os
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -14,15 +15,9 @@ from tinprov import GenTimeEngine, ReceiptEngine, _kernels
 KERNELS = {"receipt": ReceiptEngine, "gentime": GenTimeEngine}
 
 
-def test_stream_arrays_are_the_flat_records(monkeypatch):
-    monkeypatch.setattr(_kernels, "_BLOCK", 3)  # several blocks, the last one short
-    stream = rand_stream(5, 10, seed=2)
-    records = _kernels.stream_arrays(stream)
-    assert records.typecode == "d"
-    assert records.tolist() == [x for r in stream for x in r]
-
-
-@pytest.mark.parametrize("field, bad", [("source", -1), ("dest", 5), ("dest", float("nan"))])
+@pytest.mark.parametrize(
+    "field, bad", [("source", -1), ("dest", 5), ("dest", float("nan")), ("source", 1.5)]
+)
 @pytest.mark.parametrize("kernel", list(KERNELS))
 def test_vertex_outside_range_raises(kernel, field, bad, compiled):
     stream = rand_stream(5, 10, seed=1)
@@ -33,14 +28,30 @@ def test_vertex_outside_range_raises(kernel, field, bad, compiled):
     assert e.interactions_processed == 0
 
 
-def replays_like_process(make):
+def replays_like_process(make, form=list):
+    """Whether ``make().run()`` of a stream in ``form`` replays in a kernel
+    with the snapshots of ``process()``."""
     stream = rand_stream(12, 400, seed=3, self_loops=True)
     ref = make()
     for r in stream:
         ref.process(r)
-    e = make().run(stream)
+    e = make().run(form(stream))
     assert e.backend == "compiled"
     return [e.snapshot(v) for v in range(12)] == [ref.snapshot(v) for v in range(12)]
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_record_forms_replay_like_process(kernel, compiled):
+    assert replays_like_process(lambda: KERNELS[kernel](12), tuple)
+    assert replays_like_process(lambda: KERNELS[kernel](12), lambda s: [list(r) for r in s])
+    stream = rand_stream(12, 40, seed=4)
+    stream[9] = stream[9][:3]
+    e = KERNELS[kernel](12)
+    with pytest.raises(ValueError):
+        e.run(stream)
+    with pytest.raises(TypeError):  # the module takes no other iterable
+        _kernels.replay(e, iter(stream))
+    assert e.interactions_processed == 0
 
 
 @pytest.fixture
@@ -98,3 +109,17 @@ def test_garbage_cache_file_is_rebuilt(fresh_cache):
     assert list(fresh_cache.iterdir()) == [cached]  # no temporary file left
     assert replays_like_process(lambda: ReceiptEngine(12))
     assert replays_like_process(lambda: GenTimeEngine(12, most_recent=True))
+
+
+def test_fresh_build_prunes_stale_modules(fresh_cache):
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = fresh_cache / f"_replay.deadbeef{suffix}"
+    in_flight = fresh_cache / "_replay.abc123.tmp"
+    foreign = fresh_cache / "_replay.deadbeef.cpython-00-foreign.so"
+    for f in (stale, in_flight, foreign):
+        f.write_bytes(b"")
+    undeletable = fresh_cache / f"_replay.cafe{suffix}"
+    undeletable.mkdir()  # a failed removal leaves the new module usable
+    assert _kernels.warmup()
+    kept = [_kernels._cache_path(), in_flight, foreign, undeletable]
+    assert sorted(fresh_cache.iterdir()) == sorted(kept)
