@@ -1,10 +1,8 @@
-"""Compiled replay kernels (C, built as an extension module).
-
-Path-free replays are dominated by per-parcel interpreter overhead, so the
-element engines' ``run()`` hands every stream that :func:`accepts` allows to
-these kernels, whatever its length.  :func:`replay` makes one call into the
-module, which reads the ``Interaction`` records, replays them and returns
-the engine's totals and its buffers, built as the engine keeps them.
+"""Compiled replay kernels (C, built as an extension module), and the element
+engines' base class, :class:`ElementEngine`, whose ``run()`` hands them every
+path-free replay of a fresh engine, whatever its length, in one call into the
+module.  The module reads the ``Interaction`` records, replays them and
+returns the engine's totals and its buffers, built as the engine keeps them.
 
 The C source ships inside the package (``_replay.c``) and builds as a
 Python extension module: loading one costs a fraction of a millisecond,
@@ -38,8 +36,10 @@ import os
 import shutil
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+from typing import Optional
 
-from .paths import NO_PATH
+from .core import ConfigError, EngineBase
+from .paths import NO_PATH, PathStore
 
 logger = logging.getLogger(__name__)
 
@@ -147,38 +147,62 @@ def warmup() -> bool:
     return AVAILABLE and _lib is not None
 
 
-def accepts(engine, stream) -> bool:
-    """Whether ``engine.run(stream)`` should replay ``stream`` in a kernel.
+class ElementEngine(EngineBase):
+    """Routes and the kernel hand-off of the FIFO/LIFO and LRB/MRB engines.
 
-    The kernels start from empty buffers and keep neither routes nor merged
-    parcels, so the engine must be fresh, with route tracking and coalescing
-    off.  The stream must be a list or tuple, and the kernels must load.
+    A subclass defines ``process()``, ``snapshot()``, ``_parcels(v)``, vertex
+    v's parcels as ``(origin, quantity, path)``, and ``_adopt(buffers)``,
+    which takes a kernel replay's buffers: vertex v's parcels in buffer order,
+    as ``(origin, quantity, NO_PATH)`` tuples under FIFO/LIFO or heap entries
+    ``[key, origin, seq, quantity, NO_PATH]`` under LRB/MRB.
     """
-    return (
-        engine.paths is None
-        and not engine.coalesce
-        and engine.interactions_processed == 0
-        and engine.entries == 0
-        and isinstance(stream, (list, tuple))
-        and warmup()
-    )
 
+    def __init__(self, n_vertices: int, epsilon: float, track_paths: bool, coalesce: bool) -> None:
+        super().__init__(n_vertices, epsilon)
+        if coalesce and track_paths:
+            raise ConfigError("coalescing would merge parcels with distinct paths")
+        self.coalesce = coalesce
+        self.paths: Optional[PathStore] = PathStore() if track_paths else None
 
-def replay(engine, stream) -> list:
-    """Replay ``stream`` into a fresh ``engine``; returns its buffers.
+    def run(self, stream) -> "ElementEngine":
+        """Replay a whole stream; same semantics as repeated process() calls.
 
-    Sets the engine's totals, generated and cumulative newborn mass, entry
-    counts, interaction count and backend.  ``buffers[v]`` holds vertex v's
-    parcels in buffer order: ``(origin, quantity, NO_PATH)`` tuples under
-    FIFO/LIFO, heap entries ``[key, origin, seq, birth, quantity, NO_PATH]``
-    under LRB/MRB.  A record that is not four fields raises ValueError, and
-    a source or dest that is not an integer in ``[0, n_vertices)`` raises
-    IndexError, before the engine changes.
-    """
-    engine.totals, engine.generated, engine.cumulative_newborn, engine.entries, buffers = (
-        _lib.replay(stream, engine.n_vertices, engine.policy.value, engine.epsilon, NO_PATH)
-    )
-    engine.peak_entries = max(engine.peak_entries, engine.entries)
-    engine.interactions_processed = len(stream)
-    engine.backend = "compiled"
-    return buffers
+        The kernels start from empty buffers and keep neither routes nor
+        merged parcels, so a fresh engine with both off replays a list or
+        tuple in them when they load.  A record that is not four fields
+        raises ValueError, and a source or dest that is not an integer in
+        ``[0, n_vertices)`` raises IndexError, before the engine changes.
+        """
+        if not (
+            self.paths is None
+            and not self.coalesce
+            and self.interactions_processed == 0
+            and self.entries == 0
+            and isinstance(stream, (list, tuple))
+            and warmup()
+        ):
+            return super().run(stream)
+        self.totals, self.generated, self.cumulative_newborn, self.entries, buffers = (
+            _lib.replay(stream, self.n_vertices, self.policy.value, self.epsilon, NO_PATH)
+        )
+        self.peak_entries = max(self.peak_entries, self.entries)
+        self.interactions_processed = len(stream)
+        self.backend = "compiled"
+        self._adopt(buffers)
+        return self
+
+    def snapshot_paths(self, v: int) -> list[tuple[int, float, tuple[int, ...]]]:
+        """Current parcels as (origin, quantity, route sequence)."""
+        if self.paths is None:
+            raise ConfigError("path tracking is not enabled")
+        if not 0 <= v < self.n_vertices:
+            return []
+        return [(o, q, self.paths.sequence(p)) for o, q, p in self._parcels(v)]
+
+    def average_path_length(self) -> float:
+        """Mean route length (vertices, origin included) over resident parcels."""
+        if self.paths is None:
+            raise ConfigError("path tracking is not enabled")
+        return self.paths.mean_length(
+            p for v in range(self.n_vertices) for _, _, p in self._parcels(v)
+        )

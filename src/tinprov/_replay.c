@@ -3,8 +3,9 @@
  * Parcels live in flat pools indexed by creation order.  The receipt kernel
  * threads them into per-vertex linked lists (a queue for FIFO, a stack with
  * its top at the head for LIFO); the generation-time kernel keeps per-vertex
- * binary heaps in one index arena.  The heap code follows CPython's heapq
- * step for step, so each heap has the layout the pure-Python engine builds.
+ * binary heaps in one index arena, keyed on the signed birth time.  The heap
+ * code follows CPython's heapq step for step, so each heap has the layout the
+ * pure-Python engine builds.
  *
  * A self-interaction selects only among the parcels present before it: each
  * kernel parks the selection on a spare buffer (index nv) and moves it to the
@@ -222,12 +223,11 @@ static int push(arena *A, int64_t d, int64_t j, const order *o)
 
 static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double sign, double eps,
                               double *totals, double *generated, double *cum_nb,
-                              int64_t *out_orig, double *out_birth, double *out_qty,
+                              int64_t *out_orig, double *out_key, double *out_qty,
                               int64_t *out_seq, int64_t *counts)
 {
     int64_t pcap = 2 * n + 1;
     int64_t *porig = malloc(pcap * sizeof *porig);
-    double *pbirth = malloc(pcap * sizeof *pbirth);
     double *pkey = malloc(pcap * sizeof *pkey);
     double *pqty = malloc(pcap * sizeof *pqty);
     arena A = {NULL, 8 * n + 4 * nv + 64, 0, NULL, NULL, NULL};
@@ -237,7 +237,7 @@ static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double s
     A.cap = calloc(nv + 1, sizeof *A.cap);
     order o = {pkey, porig};
     int64_t nalloc = 0;
-    if (!porig || !pbirth || !pkey || !pqty || !A.a || !A.off || !A.sz || !A.cap)
+    if (!porig || !pkey || !pqty || !A.a || !A.off || !A.sz || !A.cap)
         goto fail;
     for (const double *r = rec; r < rec + 4 * n; r += 4) {
         int64_t s = (int64_t)r[0], d = (int64_t)r[1];
@@ -251,7 +251,6 @@ static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double s
                 pqty[top] = tq - resq;
                 int64_t j = nalloc++;
                 porig[j] = porig[top];
-                pbirth[j] = pbirth[top];
                 pkey[j] = pkey[top];
                 pqty[j] = resq;
                 resq = 0.0;
@@ -273,7 +272,6 @@ static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double s
         if (resq > 0.0) {
             int64_t j = nalloc++;
             porig[j] = s;
-            pbirth[j] = r[2];
             pkey[j] = sign * r[2];
             pqty[j] = resq;
             if (push(&A, d, j, &o))
@@ -287,7 +285,7 @@ static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double s
         for (int64_t i = 0; i < A.sz[v]; i++, k++) {
             int64_t j = A.a[A.off[v] + i];
             out_orig[k] = porig[j];
-            out_birth[k] = pbirth[j];
+            out_key[k] = pkey[j];
             out_qty[k] = pqty[j];
             out_seq[k] = j;
         }
@@ -297,7 +295,6 @@ fail:
     nalloc = -1;
 done:
     free(porig);
-    free(pbirth);
     free(pkey);
     free(pqty);
     free(A.a);
@@ -361,23 +358,23 @@ static PyObject *floats(const double *x, Py_ssize_t n)
     return list;
 }
 
-/* One list per vertex of its parcels in buffer order: (origin, quantity,
- * no_path) tuples under sign 0, else heapq entries [sign * birth, origin,
- * seq, birth, quantity, no_path].  The collector is paused meanwhile: the
- * parcels hold no cycles, and the collections that a million new containers
- * would trigger, each scanning the stream, cost several times the build. */
+/* One list per vertex of its parcels in buffer order: heapq entries [key,
+ * origin, seq, quantity, no_path] when heaps is set, else (origin, quantity,
+ * no_path) tuples.  The collector is paused meanwhile: the parcels hold no
+ * cycles, and the collections that a million new containers would trigger,
+ * each scanning the stream, cost several times the build. */
 static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *orig,
-                         const double *qty, const double *birth, const int64_t *seq,
-                         double sign, PyObject *no_path)
+                         const double *qty, const double *key, const int64_t *seq,
+                         int heaps, PyObject *no_path)
 {
     int gc = PyGC_Disable();
     PyObject *bufs = PyList_New(nv);
     for (Py_ssize_t v = 0, k = 0; bufs && v < nv; v++) {
         PyObject *buf = PyList_New(counts[v]);
         for (Py_ssize_t i = 0; buf && i < counts[v]; i++, k++) {
-            PyObject *p = sign ? Py_BuildValue("[dLLddO]", sign * birth[k], (long long)orig[k],
-                                                (long long)seq[k], birth[k], qty[k], no_path)
-                                : Py_BuildValue("(LdO)", (long long)orig[k], qty[k], no_path);
+            PyObject *p = heaps ? Py_BuildValue("[dLLdO]", key[k], (long long)orig[k],
+                                                 (long long)seq[k], qty[k], no_path)
+                                 : Py_BuildValue("(LdO)", (long long)orig[k], qty[k], no_path);
             PyList_SET_ITEM(buf, i, p);
             if (!p)
                 Py_CLEAR(buf);
@@ -392,7 +389,7 @@ static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *or
 }
 
 /* replay(stream, nv, policy, eps, no_path) returns (totals, generated,
- * cumulative_newborn, entries, buffers); see _kernels.replay. */
+ * cumulative_newborn, entries, buffers); see ElementEngine.run. */
 static PyObject *py_replay(PyObject *self, PyObject *args)
 {
     PyObject *stream, *no_path;
@@ -419,26 +416,26 @@ static PyObject *py_replay(PyObject *self, PyObject *args)
     /* sums: the totals, then generated; each interaction adds at most 2 parcels */
     int64_t pcap = 2 * n + 1, entries = -1;
     double *sums = calloc(2 * nv + 1, sizeof *sums);
-    double *qty = malloc(pcap * sizeof *qty), *birth = malloc(pcap * sizeof *birth);
+    double *qty = malloc(pcap * sizeof *qty), *key = malloc(pcap * sizeof *key);
     int64_t *orig = malloc(pcap * sizeof *orig), *seq = malloc(pcap * sizeof *seq);
     int64_t *counts = malloc((nv + 1) * sizeof *counts);
-    if (sums && qty && birth && orig && seq && counts) {
+    if (sums && qty && key && orig && seq && counts) {
         Py_BEGIN_ALLOW_THREADS
         entries = sign ? replay_gentime(n, rec, nv, sign, eps, sums, sums + nv, &cum_nb, orig,
-                                        birth, qty, seq, counts)
+                                        key, qty, seq, counts)
                        : replay_receipt(n, rec, nv, lifo, eps, sums, sums + nv, &cum_nb, orig,
                                         qty, counts);
         Py_END_ALLOW_THREADS
     }
     free(rec); /* before the parcels are built, the replay's peak of memory */
     PyObject *bufs = entries < 0 ? PyErr_NoMemory()
-                                 : buffers(nv, counts, orig, qty, birth, seq, sign, no_path);
+                                 : buffers(nv, counts, orig, qty, key, seq, sign != 0.0, no_path);
     PyObject *result = bufs ? Py_BuildValue("NNdLN", floats(sums, nv), floats(sums + nv, nv),
                                             cum_nb, (long long)entries, bufs)
                             : NULL;
     free(sums);
     free(qty);
-    free(birth);
+    free(key);
     free(orig);
     free(seq);
     free(counts);

@@ -260,6 +260,8 @@ class EngineBase:
     backend = "python"
 
     def __init__(self, n_vertices: int, epsilon: float = 1e-9) -> None:
+        if n_vertices < 0:
+            raise ConfigError(f"n_vertices must be non-negative, not {n_vertices}")
         if not (isfinite(epsilon) and epsilon >= 0):
             raise ConfigError("epsilon must be finite and non-negative")
         self.n_vertices = n_vertices
@@ -295,9 +297,6 @@ class EngineBase:
         for r in stream:
             self.process(r)
         return self
-
-    def total(self, v: int) -> float:
-        return self.totals[v]
 
 
 class NoProvEngine(EngineBase):

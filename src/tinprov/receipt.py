@@ -19,18 +19,14 @@ back on top in reverse.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
-from . import _kernels
-from .core import ConfigError, EngineBase, Interaction, Policy
-from .paths import NO_PATH, PathStore
+from ._kernels import ElementEngine
+from .core import Interaction, Policy
+from .paths import NO_PATH
 
 
-class ReceiptEngine(EngineBase):
+class ReceiptEngine(ElementEngine):
     """Provenance engine for the FIFO/LIFO selection policies."""
-
-    #: receipt buffers never merge parcels
-    coalesce = False
 
     def __init__(
         self,
@@ -39,14 +35,12 @@ class ReceiptEngine(EngineBase):
         epsilon: float = 1e-9,
         track_paths: bool = False,
     ) -> None:
-        super().__init__(n_vertices, epsilon)
+        super().__init__(n_vertices, epsilon, track_paths, coalesce=False)
         self.policy = Policy.LIFO if lifo else Policy.FIFO
-        self._lifo = lifo
         # the selected end of a buffer and how to remove the parcel there
         self._end = -1 if lifo else 0
         self._take = list.pop if lifo else deque.popleft
         self._buffers: list = [[] if lifo else deque() for _ in range(n_vertices)]
-        self.paths: Optional[PathStore] = PathStore() if track_paths else None
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
@@ -82,34 +76,14 @@ class ReceiptEngine(EngineBase):
             self.peak_entries = self.entries
         self._settle(s, d, rq)
 
-    def run(self, stream) -> "ReceiptEngine":
-        """Replay a whole stream; same semantics as repeated process() calls.
+    def _adopt(self, buffers: list) -> None:
+        self._buffers = buffers if self.policy is Policy.LIFO else [deque(b) for b in buffers]
 
-        Replays that :func:`_kernels.accepts` go to the compiled kernel, whose
-        parcel lists become the buffers.
-        """
-        if not _kernels.accepts(self, stream):
-            return super().run(stream)
-        buffers = _kernels.replay(self, stream)
-        self._buffers = buffers if self._lifo else [deque(b) for b in buffers]
-        return self
+    def _parcels(self, v: int):
+        return self._buffers[v]
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
         """Buffer contents front-to-back as (origin, quantity) pairs."""
         if not 0 <= v < self.n_vertices:
             return []
         return [(o, q) for o, q, _ in self._buffers[v]]
-
-    def snapshot_paths(self, v: int) -> list[tuple[int, float, tuple[int, ...]]]:
-        """Buffer contents as (origin, quantity, route sequence)."""
-        if self.paths is None:
-            raise ConfigError("path tracking is not enabled")
-        if not 0 <= v < self.n_vertices:
-            return []
-        return [(o, q, self.paths.sequence(p)) for o, q, p in self._buffers[v]]
-
-    def average_path_length(self) -> float:
-        """Mean route length (vertices, origin included) over resident parcels."""
-        if self.paths is None:
-            raise ConfigError("path tracking is not enabled")
-        return self.paths.mean_length(p for buf in self._buffers for _, _, p in buf)

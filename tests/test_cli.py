@@ -170,6 +170,43 @@ def test_birth_time_column(example_file, capsys):
     assert all("birth_time" in r for r in rows)
 
 
+SIGNED_BIRTHS_CSV = """\
+a,b,0,2
+b,c,-0,1
+c,c,-0,3
+a,a,0,1
+d,b,1,2
+d,b,1,2
+b,d,1,4
+c,a,2,5
+a,a,2,2
+"""
+
+# each vertex's rows in buffer (heap) order; a birth at -0 prints as -0.0
+SIGNED_BIRTH_ROWS = {
+    ("lrb",): "a,a,1.0,0.0 a,a,1.0,0.0 a,c,2.0,-0.0 a,c,2.0,2.0 b,d,1.0,1.0 d,a,1.0,0.0"
+    " d,d,2.0,1.0 d,d,1.0,1.0",
+    ("lrb", "--coalesce"): "a,a,2.0,0.0 a,c,2.0,2.0 a,c,2.0,-0.0 b,d,1.0,1.0 d,a,1.0,0.0"
+    " d,d,3.0,1.0",
+    ("mrb",): "a,c,2.0,2.0 a,a,1.0,0.0 a,c,2.0,-0.0 a,a,1.0,0.0 b,a,1.0,0.0 d,d,2.0,1.0"
+    " d,d,2.0,1.0",
+    ("mrb", "--coalesce"): "a,c,2.0,2.0 a,c,2.0,-0.0 a,a,2.0,0.0 b,a,1.0,0.0 d,d,4.0,1.0",
+}
+
+
+@pytest.mark.parametrize("kernels", [True, False])
+@pytest.mark.parametrize("options", list(SIGNED_BIRTH_ROWS))
+def test_birth_time_keeps_its_sign(options, kernels, tmp_path, capsys, monkeypatch):
+    if not kernels:
+        monkeypatch.setattr(tinprov._kernels, "AVAILABLE", False)
+    path = tmp_path / "signed.csv"
+    path.write_text(SIGNED_BIRTHS_CSV)
+    code, out, _ = run_cli(["run", str(path), "--policy", *options], capsys)
+    assert code == 0
+    rows = SIGNED_BIRTH_ROWS[options].split()
+    assert out == "vertex,origin,quantity,birth_time\r\n" + "".join(r + "\r\n" for r in rows)
+
+
 def test_paths_column(example_file, capsys):
     _, out, _ = run_cli(["run", example_file, "--policy", "lifo", "--paths"], capsys)
     rows = parse_csv(out)

@@ -80,6 +80,12 @@ def test_tracking_option_constraints():
     EngineConfig(Policy.LIFO, track_paths=True).validate()
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_negative_vertex_count_rejected(policy):
+    with pytest.raises(ConfigError):
+        build_engine(EngineConfig(policy), -1)
+
+
 def test_scalar_validation():
     with pytest.raises(ConfigError):
         EngineConfig(Policy.PROP_SPARSE, window=0).validate()

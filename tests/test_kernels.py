@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import sysconfig
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from conftest import rand_stream
 
 import tinprov
 from tinprov import GenTimeEngine, ReceiptEngine, _kernels
+from tinprov.paths import NO_PATH
 
 KERNELS = {"receipt": ReceiptEngine, "gentime": GenTimeEngine}
 
@@ -50,8 +52,22 @@ def test_record_forms_replay_like_process(kernel, compiled):
     with pytest.raises(ValueError):
         e.run(stream)
     with pytest.raises(TypeError):  # the module takes no other iterable
-        _kernels.replay(e, iter(stream))
+        _kernels._lib.replay(iter(stream), 12, e.policy.value, e.epsilon, NO_PATH)
     assert e.interactions_processed == 0
+
+
+def test_source_builds_without_warnings(tmp_path, compiled):
+    """The loader's build, with every common warning made an error."""
+    include = "-I" + sysconfig.get_paths()["include"]
+    so = str(tmp_path / f"_replay{EXTENSION_SUFFIXES[0]}")
+    flags = [*_kernels._FLAGS, "-Wall", "-Werror", include]
+    done = subprocess.run(
+        [_kernels._CC, *flags, "-o", so, str(_kernels._SOURCE)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture
