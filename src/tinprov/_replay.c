@@ -1,23 +1,24 @@
-/* Compiled replay kernels for the element policies (see _kernels.py).
+/* Compiled replay of the element policies (see _kernels.py).
  *
- * Parcels live in flat pools indexed by creation order.  The receipt kernel
- * threads them into per-vertex linked lists (a queue for FIFO, a stack with
- * its top at the head for LIFO); the generation-time kernel keeps per-vertex
- * binary heaps in one index arena, keyed on the signed birth time.  The heap
- * code follows CPython's heapq step for step, so each heap has the layout the
- * pure-Python engine builds.
+ * One loop, replay(), serves FIFO, LIFO, LRB and MRB; it branches only on
+ * the selection order.  Parcels live in flat pools indexed by creation
+ * order, and each vertex keeps the pool indices of its parcels in one
+ * growable array, a buf.  FIFO takes from the live span's front and LIFO
+ * from its back, and both add at the back.  LRB and MRB keep each array as a
+ * binary heap keyed on the signed birth time, following CPython's heapq step
+ * for step, so each heap has the layout the pure-Python engine builds.
  *
- * A self-interaction selects only among the parcels present before it: each
- * kernel parks the selection on a spare buffer (index nv) and moves it to the
- * destination, in selection order, once selection ends.
+ * A self-interaction selects only among the parcels present before it: the
+ * loop parks its selection on a spare buffer (index nv) and moves it to the
+ * vertex, in selection order, once selection ends.
  *
- * Both kernels read the stream as one flat array of checked records, four
- * doubles each (source, dest, time, quantity).  They end by writing every
+ * The loop reads the stream as one flat array of checked records, four
+ * doubles each (source, dest, time, quantity).  It ends by writing every
  * vertex's parcels in buffer order, vertex by vertex, with counts[v] parcels
- * for vertex v, and return the number of live parcels, or -1 when memory
+ * for vertex v, and returns the number of live parcels, or -1 when memory
  * runs out.  The file is built as a Python extension module, whose one
- * binding, replay(), reads the Interaction records into that array, runs a
- * kernel and returns the engine's buffers, built from the parcels.
+ * binding, replay(), reads the Interaction records into that array, runs the
+ * loop and returns the engine's buffers, built from the parcels.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,118 +27,8 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Append parcel j to d's buffer: at the tail (FIFO) or on top (LIFO). */
-static void put(int64_t j, int64_t d, int lifo, int64_t *next, int64_t *head, int64_t *tail)
-{
-    if (lifo) {
-        next[j] = head[d];
-        head[d] = j;
-    } else {
-        next[j] = -1;
-        if (tail[d] < 0)
-            head[d] = j;
-        else
-            next[tail[d]] = j;
-        tail[d] = j;
-    }
-}
-
-/* Baseline total update shared by both kernels. */
-static void settle(int64_t s, int64_t d, double rq, double *totals, double *generated,
-                   double *cum_nb)
-{
-    double bs = totals[s];
-    double q = rq < bs ? rq : bs;
-    totals[s] = bs - q;
-    totals[d] += rq;
-    double nb = rq - q;
-    if (nb > 0.0) {
-        generated[s] += nb;
-        *cum_nb += nb;
-    }
-}
-
-static int64_t replay_receipt(int64_t n, const double *rec, int64_t nv, int lifo, double eps,
-                              double *totals, double *generated, double *cum_nb,
-                              int64_t *out_orig, double *out_qty, int64_t *counts)
-{
-    int64_t pcap = 2 * n + 1; /* at most one split and one newborn per interaction */
-    int64_t *porig = malloc(pcap * sizeof *porig);
-    double *pqty = malloc(pcap * sizeof *pqty);
-    int64_t *next = malloc(pcap * sizeof *next);
-    int64_t *head = malloc((nv + 1) * sizeof *head);
-    int64_t *tail = malloc((nv + 1) * sizeof *tail);
-    int64_t nalloc = 0;
-    if (!porig || !pqty || !next || !head || !tail) {
-        nalloc = -1;
-        goto done;
-    }
-    for (int64_t v = 0; v <= nv; v++)
-        head[v] = tail[v] = -1;
-    for (const double *r = rec; r < rec + 4 * n; r += 4) {
-        int64_t s = (int64_t)r[0], d = (int64_t)r[1];
-        /* the spare list nv is always a queue, so it keeps selection order */
-        int64_t to = s == d ? nv : d;
-        int to_lifo = s == d ? 0 : lifo;
-        double resq = r[3];
-        while (resq > 0.0 && head[s] >= 0) {
-            int64_t h = head[s];
-            double tq = pqty[h];
-            if (tq - resq > eps) {
-                /* split: the remainder stays at the selected end */
-                pqty[h] = tq - resq;
-                int64_t j = nalloc++;
-                porig[j] = porig[h];
-                pqty[j] = resq;
-                put(j, to, to_lifo, next, head, tail);
-                resq = 0.0;
-            } else {
-                head[s] = next[h];
-                if (head[s] < 0)
-                    tail[s] = -1;
-                put(h, to, to_lifo, next, head, tail);
-                resq -= tq;
-            }
-        }
-        while (head[nv] >= 0) {
-            int64_t j = head[nv];
-            head[nv] = next[j];
-            put(j, d, lifo, next, head, tail);
-        }
-        tail[nv] = -1;
-        if (resq > 0.0) {
-            int64_t j = nalloc++;
-            porig[j] = s;
-            pqty[j] = resq;
-            put(j, d, lifo, next, head, tail);
-        }
-        settle(s, d, r[3], totals, generated, cum_nb);
-    }
-    /* a LIFO list runs top to bottom, so it is written back to front */
-    int64_t k = 0;
-    for (int64_t v = 0; v < nv; v++) {
-        int64_t m = 0;
-        for (int64_t j = head[v]; j >= 0; j = next[j])
-            m++;
-        counts[v] = m;
-        int64_t pos = lifo ? k + m - 1 : k, step = lifo ? -1 : 1;
-        for (int64_t j = head[v]; j >= 0; j = next[j], pos += step) {
-            out_orig[pos] = porig[j];
-            out_qty[pos] = pqty[j];
-        }
-        k += m;
-    }
-done:
-    free(porig);
-    free(pqty);
-    free(next);
-    free(head);
-    free(tail);
-    return nalloc;
-}
-
-/* Parcel order: key, then origin, then creation sequence (heapq's list
- * order).  A parcel's sequence number is its pool index. */
+/* Parcel order in a heap: key, then origin, then creation sequence (heapq's
+ * list order).  A parcel's sequence number is its pool index. */
 typedef struct {
     const double *key;
     const int64_t *orig;
@@ -166,8 +57,9 @@ static void sift_toward_root(int64_t *h, int64_t pos, const order *o)
     h[pos] = item;
 }
 
-/* heapq._siftup: sink the root to a leaf along smaller children, then back up. */
-static void sift_from_root(int64_t *h, int64_t m, const order *o)
+/* heapq._siftup: sink the root to a leaf along smaller children, then back up.
+ * Inlined into the replay loop, it made the 1M LRB replay 25% slower. */
+static __attribute__((noinline)) void sift_from_root(int64_t *h, int64_t m, const order *o)
 {
     int64_t item = h[0], pos = 0, child = 1;
     while (child < m) {
@@ -181,126 +73,132 @@ static void sift_from_root(int64_t *h, int64_t m, const order *o)
     sift_toward_root(h, pos, o);
 }
 
+/* One vertex's parcels: the pool indices a[lo], ..., a[lo + n - 1], in an
+ * array of cap slots.  Only a FIFO queue moves lo. */
 typedef struct {
-    int64_t *a, size, end; /* arena, its capacity, first unused slot */
-    int64_t *off, *sz, *cap;
-} arena;
+    int64_t *a, lo, n, cap;
+} buf;
 
-/* heapq.heappop: remove the root of v's heap. */
-static void pop(arena *A, int64_t v, const order *o)
+/* Add parcel j at the end of b and, given a heap order, sift it into place;
+ * -1 when memory runs out.  With no slot left at the end, the array doubles
+ * when at least half full, or else the live span slides to the start: sliding
+ * alone would go quadratic on a long FIFO queue. */
+static int append(buf *b, int64_t j, const order *heap)
 {
-    int64_t *h = A->a + A->off[v];
-    int64_t m = --A->sz[v];
-    if (m > 0) {
-        h[0] = h[m];
-        sift_from_root(h, m, o);
-    }
-}
-
-/* Push parcel j onto d's heap, moving d's span to a doubled one when full. */
-static int push(arena *A, int64_t d, int64_t j, const order *o)
-{
-    if (A->sz[d] == A->cap[d]) {
-        int64_t newcap = A->cap[d] ? 2 * A->cap[d] : 4;
-        if (A->end + newcap > A->size) {
-            int64_t size = 2 * A->size + newcap;
-            int64_t *grown = realloc(A->a, size * sizeof *grown);
-            if (!grown)
+    if (b->lo + b->n == b->cap) {
+        if (2 * b->n >= b->cap) {
+            int64_t cap = b->cap ? 2 * b->cap : 4;
+            int64_t *a = realloc(b->a, cap * sizeof *a);
+            if (!a)
                 return -1;
-            A->a = grown;
-            A->size = size;
+            b->a = a;
+            b->cap = cap;
+        } else {
+            memmove(b->a, b->a + b->lo, b->n * sizeof *b->a);
+            b->lo = 0;
         }
-        memcpy(A->a + A->end, A->a + A->off[d], A->sz[d] * sizeof *A->a);
-        A->off[d] = A->end;
-        A->cap[d] = newcap;
-        A->end += newcap;
     }
-    int64_t *h = A->a + A->off[d];
-    h[A->sz[d]] = j;
-    sift_toward_root(h, A->sz[d]++, o);
+    b->a[b->lo + b->n] = j;
+    if (heap)
+        sift_toward_root(b->a, b->n, heap);
+    b->n++;
     return 0;
 }
 
-static int64_t replay_gentime(int64_t n, const double *rec, int64_t nv, double sign, double eps,
-                              double *totals, double *generated, double *cum_nb,
-                              int64_t *out_orig, double *out_key, double *out_qty,
-                              int64_t *out_seq, int64_t *counts)
+/* Replay the n records under one selection order: FIFO takes a buffer's
+ * front, LIFO its back, and with a sign (1 for LRB, -1 for MRB) each buffer
+ * is a heap keyed on the signed birth time. */
+static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double sign,
+                      double eps, double *totals, double *generated, double *cum_nb,
+                      int64_t *out_orig, double *out_key, double *out_qty, int64_t *out_seq,
+                      int64_t *counts)
 {
-    int64_t pcap = 2 * n + 1;
+    int64_t pcap = 2 * n + 1; /* at most one split and one newborn per interaction */
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pkey = malloc(pcap * sizeof *pkey);
     double *pqty = malloc(pcap * sizeof *pqty);
-    arena A = {NULL, 8 * n + 4 * nv + 64, 0, NULL, NULL, NULL};
-    A.a = malloc(A.size * sizeof *A.a);
-    A.off = calloc(nv + 1, sizeof *A.off);
-    A.sz = calloc(nv + 1, sizeof *A.sz);
-    A.cap = calloc(nv + 1, sizeof *A.cap);
+    buf *b = calloc(nv + 1, sizeof *b); /* b[nv]: a self-interaction's selection */
     order o = {pkey, porig};
+    const order *heap = sign ? &o : NULL;
     int64_t nalloc = 0;
-    if (!porig || !pkey || !pqty || !A.a || !A.off || !A.sz || !A.cap)
+    if (!porig || !pkey || !pqty || !b)
         goto fail;
     for (const double *r = rec; r < rec + 4 * n; r += 4) {
         int64_t s = (int64_t)r[0], d = (int64_t)r[1];
-        int64_t to = s == d ? nv : d;
-        double resq = r[3];
-        while (resq > 0.0 && A.sz[s] > 0) {
-            int64_t top = A.a[A.off[s]];
-            double tq = pqty[top];
+        buf *bs = b + s, *to = s == d ? b + nv : b + d;
+        double rq = r[3], resq = rq;
+        while (resq > 0.0 && bs->n > 0) {
+            int64_t *end = bs->a + bs->lo + (lifo ? bs->n - 1 : 0);
+            int64_t h = *end;
+            double tq = pqty[h];
             if (tq - resq > eps) {
-                /* split: the remainder keeps its heap slot at the source */
-                pqty[top] = tq - resq;
+                /* split: the remainder keeps its place, a copy travels */
+                pqty[h] = tq - resq;
                 int64_t j = nalloc++;
-                porig[j] = porig[top];
-                pkey[j] = pkey[top];
+                porig[j] = porig[h];
+                if (heap)
+                    pkey[j] = pkey[h];
                 pqty[j] = resq;
+                h = j;
                 resq = 0.0;
-                top = j;
             } else {
-                pop(&A, s, &o);
+                bs->n--;
+                if (heap && bs->n > 0) {
+                    *end = bs->a[bs->n];
+                    sift_from_root(bs->a, bs->n, heap);
+                } else if (!heap && !lifo) {
+                    bs->lo++;
+                }
                 resq -= tq;
             }
-            if (push(&A, to, top, &o))
+            /* the spare buffer keeps selection order, which for a heap is
+             * ascending order */
+            if (append(to, h, to == b + nv ? NULL : heap))
                 goto fail;
         }
-        /* the spare heap pops in selection order, which is ascending order */
-        while (A.sz[nv] > 0) {
-            int64_t j = A.a[A.off[nv]];
-            pop(&A, nv, &o);
-            if (push(&A, d, j, &o))
+        for (int64_t i = 0; i < b[nv].n; i++)
+            if (append(b + d, b[nv].a[i], heap))
                 goto fail;
-        }
+        b[nv].n = 0;
         if (resq > 0.0) {
             int64_t j = nalloc++;
             porig[j] = s;
-            pkey[j] = sign * r[2];
+            if (heap)
+                pkey[j] = sign * r[2];
             pqty[j] = resq;
-            if (push(&A, d, j, &o))
+            if (append(b + d, j, heap))
                 goto fail;
         }
-        settle(s, d, r[3], totals, generated, cum_nb);
+        /* the baseline total update */
+        double bal = totals[s], q = rq < bal ? rq : bal, nb = rq - q;
+        totals[s] = bal - q;
+        totals[d] += rq;
+        if (nb > 0.0) {
+            generated[s] += nb;
+            *cum_nb += nb;
+        }
     }
-    int64_t k = 0;
-    for (int64_t v = 0; v < nv; v++) {
-        counts[v] = A.sz[v];
-        for (int64_t i = 0; i < A.sz[v]; i++, k++) {
-            int64_t j = A.a[A.off[v] + i];
-            out_orig[k] = porig[j];
-            out_key[k] = pkey[j];
-            out_qty[k] = pqty[j];
-            out_seq[k] = j;
+    for (int64_t v = 0, k = 0; v < nv; v++) {
+        counts[v] = b[v].n;
+        for (int64_t *j = b[v].a + b[v].lo; j < b[v].a + b[v].lo + b[v].n; j++, k++) {
+            out_orig[k] = porig[*j];
+            out_qty[k] = pqty[*j];
+            if (heap) {
+                out_key[k] = pkey[*j];
+                out_seq[k] = *j;
+            }
         }
     }
     goto done;
 fail:
     nalloc = -1;
 done:
+    for (int64_t v = 0; b && v <= nv; v++)
+        free(b[v].a);
+    free(b);
     free(porig);
     free(pkey);
     free(pqty);
-    free(A.a);
-    free(A.off);
-    free(A.sz);
-    free(A.cap);
     return nalloc;
 }
 
@@ -358,11 +256,36 @@ static PyObject *floats(const double *x, Py_ssize_t n)
     return list;
 }
 
-/* One list per vertex of its parcels in buffer order: heapq entries [key,
- * origin, seq, quantity, no_path] when heaps is set, else (origin, quantity,
- * no_path) tuples.  The collector is paused meanwhile: the parcels hold no
- * cycles, and the collections that a million new containers would trigger,
- * each scanning the stream, cost several times the build. */
+/* Output parcel k as a heapq entry [key, origin, seq, quantity, no_path] when
+ * heaps is set, else as a tuple (origin, quantity, no_path), its items set in
+ * place; NULL when memory runs out. */
+static PyObject *parcel(Py_ssize_t k, const int64_t *orig, const double *qty, const double *key,
+                        const int64_t *seq, int heaps, PyObject *no_path)
+{
+    PyObject *p = heaps ? PyList_New(5) : PyTuple_New(3);
+    if (!p)
+        return NULL;
+    PyObject **x = PySequence_Fast_ITEMS(p);
+    int m = 0;
+    if (heaps)
+        x[m++] = PyFloat_FromDouble(key[k]);
+    x[m++] = PyLong_FromLongLong(orig[k]);
+    if (heaps)
+        x[m++] = PyLong_FromLongLong(seq[k]);
+    x[m++] = PyFloat_FromDouble(qty[k]);
+    x[m++] = Py_NewRef(no_path);
+    while (m--)
+        if (!x[m]) {
+            Py_DECREF(p); /* frees the items made; a list or tuple may hold NULL */
+            return NULL;
+        }
+    return p;
+}
+
+/* One list per vertex of its parcels in buffer order.  The collector is
+ * paused meanwhile: the parcels hold no cycles, and the collections that a
+ * million new containers would trigger, each scanning the stream, cost
+ * several times the build. */
 static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *orig,
                          const double *qty, const double *key, const int64_t *seq,
                          int heaps, PyObject *no_path)
@@ -370,17 +293,15 @@ static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *or
     int gc = PyGC_Disable();
     PyObject *bufs = PyList_New(nv);
     for (Py_ssize_t v = 0, k = 0; bufs && v < nv; v++) {
-        PyObject *buf = PyList_New(counts[v]);
-        for (Py_ssize_t i = 0; buf && i < counts[v]; i++, k++) {
-            PyObject *p = heaps ? Py_BuildValue("[dLLdO]", key[k], (long long)orig[k],
-                                                 (long long)seq[k], qty[k], no_path)
-                                 : Py_BuildValue("(LdO)", (long long)orig[k], qty[k], no_path);
-            PyList_SET_ITEM(buf, i, p);
+        PyObject *list = PyList_New(counts[v]);
+        for (Py_ssize_t i = 0; list && i < counts[v]; i++, k++) {
+            PyObject *p = parcel(k, orig, qty, key, seq, heaps, no_path);
+            PyList_SET_ITEM(list, i, p);
             if (!p)
-                Py_CLEAR(buf);
+                Py_CLEAR(list);
         }
-        PyList_SET_ITEM(bufs, v, buf);
-        if (!buf)
+        PyList_SET_ITEM(bufs, v, list);
+        if (!list)
             Py_CLEAR(bufs);
     }
     if (gc)
@@ -421,10 +342,8 @@ static PyObject *py_replay(PyObject *self, PyObject *args)
     int64_t *counts = malloc((nv + 1) * sizeof *counts);
     if (sums && qty && key && orig && seq && counts) {
         Py_BEGIN_ALLOW_THREADS
-        entries = sign ? replay_gentime(n, rec, nv, sign, eps, sums, sums + nv, &cum_nb, orig,
-                                        key, qty, seq, counts)
-                       : replay_receipt(n, rec, nv, lifo, eps, sums, sums + nv, &cum_nb, orig,
-                                        qty, counts);
+        entries = replay(n, rec, nv, lifo, sign, eps, sums, sums + nv, &cum_nb, orig, key, qty,
+                         seq, counts);
         Py_END_ALLOW_THREADS
     }
     free(rec); /* before the parcels are built, the replay's peak of memory */

@@ -95,9 +95,12 @@ def _int_option(parser, name: str, text: str, least: int) -> int:
 
 
 def _open(parser, path: str, mode: str = "r") -> TextIO:
-    """``path`` opened as UTF-8 text, or a usage error that names it."""
+    """``path`` opened as UTF-8 text, or a usage error that names it.
+
+    Reading drops a leading byte-order mark; writing puts none.
+    """
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8")
     except OSError as exc:
         parser.error(f"cannot open {path}: {exc.strerror or exc}")
 
@@ -206,7 +209,7 @@ def cmd_run(args, parser) -> int:
         every_k = _int_option(parser, "every-k", args.snapshot_at[8:], 1)
     topk = None
     if args.selective and args.selective.startswith("topk="):
-        topk = _int_option(parser, "--selective topk", args.selective[5:], 0)
+        topk = _int_option(parser, "--selective topk", args.selective[5:], 1)
     if args.top is not None and args.top < 0:
         parser.error(f"--top must be an integer >= 0, got {args.top}")
     if args.alert_threshold is not None:
@@ -232,7 +235,7 @@ def cmd_run(args, parser) -> int:
     try:
         if args.input == "-":
             # input is UTF-8 like a named file, whatever the locale's error handler
-            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="strict")
             table, stream, rejected = parse_stream(sys.stdin)
         else:
             with _open(parser, args.input) as fh:

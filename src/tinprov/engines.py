@@ -36,7 +36,9 @@ class EngineConfig:
         if mechanisms > 1:
             raise ConfigError("selective/grouped, window and budget are mutually exclusive")
         if mechanisms and self.policy not in PROPORTIONAL_POLICIES:
-            raise ConfigError("scope mechanisms only apply to proportional policies")
+            raise ConfigError(
+                "selective/grouped, window and budget only apply to proportional policies"
+            )
         if (self.window is not None or self.budget is not None) and self.policy is not Policy.PROP_SPARSE:
             raise ConfigError("window and budget mechanisms need sparse provenance lists")
         if self.track_paths and self.policy not in ELEMENT_POLICIES:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .core import (
     ELEMENT_POLICIES,
+    PROPORTIONAL_POLICIES,
     ConfigError,
     Interaction,
     Policy,
@@ -43,7 +44,9 @@ class Oracle:
         self.totals = [0.0] * n_vertices
         self.generated = [0.0] * n_vertices
         self.buffers: list[list[Parcel]] = [[] for _ in range(n_vertices)]
-        self.vectors = [[0.0] * n_vertices for _ in range(n_vertices)]
+        # n x n floats, so only the proportional policies get them
+        rows = n_vertices if policy in PROPORTIONAL_POLICIES else 0
+        self.vectors = [[0.0] * n_vertices for _ in range(rows)]
         self._seq = 0
 
     def process(self, r: Interaction) -> None:

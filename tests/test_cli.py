@@ -269,6 +269,27 @@ def test_selective_file(example_file, tmp_path, capsys):
     assert any(r["origin"] == "v2" for r in rows)
 
 
+def test_byte_order_mark_is_not_part_of_a_label(example_file, tmp_path, capsys, monkeypatch):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(example_file).read_bytes())
+    for policy in ("lifo", "prop-sparse"):
+        plain = run_cli(["run", example_file, "--policy", policy], capsys)
+        assert run_cli(["run", str(bom), "--policy", policy], capsys)[:2] == plain[:2]
+        stdin = io.TextIOWrapper(io.BytesIO(bom.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run_cli(["run", "-", "--policy", policy], capsys)[:2] == plain[:2]
+
+
+def test_byte_order_mark_in_selective_file(example_file, tmp_path, capsys):
+    sel = tmp_path / "tracked.txt"
+    sel.write_bytes("\ufeffv1\n".encode())
+    code, out, _ = run_cli(
+        ["run", example_file, "--policy", "prop-dense", "--selective", str(sel)], capsys
+    )
+    assert code == 0
+    assert {r["origin"] for r in parse_csv(out)} == {"v1", "<rest>"}
+
+
 def test_selective_file_unknown_label(example_file, tmp_path, capsys):
     sel = tmp_path / "tracked.txt"
     sel.write_text("v2\nzz\n")
@@ -378,13 +399,18 @@ def test_synth_then_run(tmp_path, capsys):
         ["run", "x.csv", "--policy", "prop-sparse", "--alert-threshold=-inf"],
         ["synth", "-", "--vertices", "1", "--interactions", "5"],
         ["run", "x.csv", "--top", "-1"],
+        ["run", "x.csv", "--policy", "fifo", "--window", "3"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--selective", "topk=0"],
     ],
 )
 def test_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "cannot open" not in capsys.readouterr().err  # refused before x.csv is read
+    err = capsys.readouterr().err
+    assert "cannot open" not in err  # refused before x.csv is read
+    if "--window" in argv:
+        assert "window" in err.splitlines()[-1]  # the message names the option given
 
 
 def test_import_loads_no_numpy(example_file, tmp_path):

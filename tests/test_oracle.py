@@ -1,5 +1,7 @@
 """Hand-checks of the reference simulator itself (it guards everything else)."""
 
+import pytest
+
 from tinprov import Interaction, Oracle, Policy
 
 
@@ -39,3 +41,11 @@ def test_oracle_totals_follow_baseline(example_stream):
         o = Oracle(3, policy).run(example_stream)
         assert o.totals == [3.0, 2.0, 4.0]
         assert o.generated == [0.0, 7.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "policy", [p for p in Policy if p not in (Policy.PROP_DENSE, Policy.PROP_SPARSE)]
+)
+def test_only_proportional_policies_get_vectors(policy):
+    assert Oracle(3, policy).vectors == []
+    assert len(Oracle(3, Policy.PROP_SPARSE).vectors) == 3
