@@ -150,17 +150,15 @@ def warmup() -> bool:
 class ElementEngine(EngineBase):
     """Routes and the kernel hand-off of the FIFO/LIFO and LRB/MRB engines.
 
-    A subclass defines ``process()``, ``snapshot()``, ``_parcels(v)``, vertex
-    v's parcels as ``(origin, quantity, path)``, and ``_adopt(buffers)``,
-    which takes a kernel replay's buffers: vertex v's parcels in buffer order,
-    as ``(origin, quantity, NO_PATH)`` tuples under FIFO/LIFO or heap entries
-    ``[key, origin, seq, quantity, NO_PATH]`` under LRB/MRB.
+    A subclass keeps vertex v's parcels in ``buffers[v]`` and defines
+    ``process()``, ``snapshot()`` and ``_parcels(v)``, v's parcels as
+    ``(origin, quantity, path)``.
     """
 
     def __init__(self, n_vertices: int, epsilon: float, track_paths: bool, coalesce: bool) -> None:
-        super().__init__(n_vertices, epsilon)
         if coalesce and track_paths:
             raise ConfigError("coalescing would merge parcels with distinct paths")
+        super().__init__(n_vertices, epsilon)
         self.coalesce = coalesce
         self.paths: Optional[PathStore] = PathStore() if track_paths else None
 
@@ -190,6 +188,13 @@ class ElementEngine(EngineBase):
         self.backend = "compiled"
         self._adopt(buffers)
         return self
+
+    def _adopt(self, buffers: list) -> None:
+        """Take a kernel replay's buffers, vertex v's parcels in buffer order:
+        ``(origin, quantity, NO_PATH)`` tuples under FIFO/LIFO, heap entries
+        ``[key, origin, seq, quantity, NO_PATH]`` in ``heapq`` layout under
+        LRB/MRB.  They become ``buffers`` as given unless a subclass overrides this."""
+        self.buffers = buffers
 
     def snapshot_paths(self, v: int) -> list[tuple[int, float, tuple[int, ...]]]:
         """Current parcels as (origin, quantity, route sequence)."""

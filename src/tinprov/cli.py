@@ -145,7 +145,9 @@ def _load_scope(
             gid = group_names.setdefault(group, len(group_names))
             if label in table:
                 group_of[table.index_of(label)] = gid
-        return ScopeMap.grouped(group_of, len(table), group_labels=list(group_names))
+        return ScopeMap.grouped(
+            group_of, len(table), group_labels=list(group_names), labels=table.labels
+        )
     return None
 
 

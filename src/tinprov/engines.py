@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Optional
 
 from .core import (
@@ -21,7 +20,7 @@ from .scalable import BudgetSpec, ScopeMap
 
 @dataclass
 class EngineConfig:
-    """Validated bundle of policy, scope mechanism and tracking options."""
+    """Bundle of policy, scope mechanism and tracking options."""
 
     policy: Policy
     scope: Optional[ScopeMap] = None
@@ -32,34 +31,28 @@ class EngineConfig:
     epsilon: float = 1e-9
 
     def validate(self) -> None:
-        mechanisms = sum(x is not None for x in (self.scope, self.window, self.budget))
-        if mechanisms > 1:
-            raise ConfigError("selective/grouped, window and budget are mutually exclusive")
-        if mechanisms and self.policy not in PROPORTIONAL_POLICIES:
-            raise ConfigError(
-                "selective/grouped, window and budget only apply to proportional policies"
-            )
-        if (self.window is not None or self.budget is not None) and self.policy is not Policy.PROP_SPARSE:
-            raise ConfigError("window and budget mechanisms need sparse provenance lists")
-        if self.track_paths and self.policy not in ELEMENT_POLICIES:
-            raise ConfigError("path tracking is only meaningful for element policies")
-        if self.coalesce:
-            if self.policy not in (Policy.LEAST_RECENTLY_BORN, Policy.MOST_RECENTLY_BORN):
-                raise ConfigError("coalescing applies to generation-time policies only")
-            if self.track_paths:
-                raise ConfigError("coalescing would merge parcels with distinct paths")
-        if self.window is not None and self.window < 1:
-            raise ConfigError("window must be a positive interaction count")
-        if not (isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError("epsilon must be finite and non-negative")
+        """Raise ConfigError for what ``build_engine`` would refuse, at no input size."""
+        build_engine(self, 0)
 
 
 def build_engine(cfg: EngineConfig, n_vertices: int):
-    cfg.validate()
+    """The engine ``cfg`` names.  Which policy takes which option is stated
+    here; the engines' constructors check the options' values."""
     policy = cfg.policy
+    gentime = policy in (Policy.LEAST_RECENTLY_BORN, Policy.MOST_RECENTLY_BORN)
+    if policy not in PROPORTIONAL_POLICIES and (cfg.scope, cfg.window, cfg.budget) != (None,) * 3:
+        raise ConfigError(
+            "selective/grouped, window and budget only apply to proportional policies"
+        )
+    if (cfg.window is not None or cfg.budget is not None) and policy is not Policy.PROP_SPARSE:
+        raise ConfigError("window and budget mechanisms need sparse provenance lists")
+    if cfg.track_paths and policy not in ELEMENT_POLICIES:
+        raise ConfigError("path tracking is only meaningful for element policies")
+    if cfg.coalesce and not gentime:
+        raise ConfigError("coalescing applies to generation-time policies only")
     if policy is Policy.NOPROV:
         return NoProvEngine(n_vertices, cfg.epsilon)
-    if policy in (Policy.LEAST_RECENTLY_BORN, Policy.MOST_RECENTLY_BORN):
+    if gentime:
         return GenTimeEngine(
             n_vertices,
             most_recent=policy is Policy.MOST_RECENTLY_BORN,

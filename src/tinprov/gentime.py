@@ -9,10 +9,13 @@ rule stated in ``receipt``: it selects only among the parcels held before it.
 
 Heap entries are mutable lists ``[key, origin, seq, quantity, path]``.
 ``key`` is the signed birth time, ``sign * birth`` with sign ±1.0, so the
-birth is ``sign * key`` exactly, a zero's sign too.  ``seq`` is a creation
-sequence number that makes the ordering total (ties on birth time break on
-origin index, then creation order).  A parcel moved whole keeps its ``seq``,
-and so its place in the order.
+birth is ``sign * key`` exactly, a zero's sign too.  ``seq`` makes the
+ordering total: ties on birth time break on origin index, then on ``seq``,
+the number of parcels made before the parcel.  That is ``entries`` when the
+parcel is made, and its index in the C kernel's parcel pool.  A parcel moved
+whole keeps its ``seq``, and so its place in the order.  Coalescing lowers
+``entries`` on a merge, so seqs can repeat, but it keeps ``(origin, key)``
+unique within each heap, so ``seq`` then never decides an order.
 
 ``process()`` is the one per-interaction replay loop; ``run()`` reuses it,
 or hands a path-free replay of a fresh engine to the C kernel in
@@ -49,7 +52,6 @@ class GenTimeEngine(ElementEngine):
         self._merge_maps: Optional[list[dict]] = (
             [{} for _ in range(n_vertices)] if coalesce else None
         )
-        self._seq = 0
 
     def process(self, r: Interaction) -> None:
         s, d, t, rq = r
@@ -66,8 +68,7 @@ class GenTimeEngine(ElementEngine):
                 # split: the remainder keeps its heap slot, and a copy with the
                 # parcel's (origin, key) and route travels under a new seq
                 top[_QTY] = tq - resq
-                top = [top[_KEY], top[_ORIGIN], self._seq, resq, top[_PATH]]
-                self._seq += 1
+                top = [top[_KEY], top[_ORIGIN], self.entries, resq, top[_PATH]]
                 self.entries += 1
                 tq = resq
             else:
@@ -81,8 +82,7 @@ class GenTimeEngine(ElementEngine):
             resq -= tq
         if resq > 0.0:
             path = paths.birth(s) if paths is not None else NO_PATH
-            moved.append([self._sign * t, s, self._seq, resq, path])
-            self._seq += 1
+            moved.append([self._sign * t, s, self.entries, resq, path])
             self.entries += 1
         # the parcels join the destination only now, in selection order and
         # the newborn last, so a self-interaction selects among the parcels
@@ -103,12 +103,6 @@ class GenTimeEngine(ElementEngine):
         self._settle(s, d, rq)
         if self.entries > self.peak_entries:
             self.peak_entries = self.entries
-
-    def _adopt(self, buffers: list) -> None:
-        # the kernel keeps each heap in the layout heapq builds, under the same
-        # (key, origin, seq) order, so its heaps become the buffers as given
-        self.buffers = buffers
-        self._seq = self.entries  # a parcel's seq is its creation index
 
     def _parcels(self, v: int):
         return ((e[_ORIGIN], e[_QTY], e[_PATH]) for e in self.buffers[v])

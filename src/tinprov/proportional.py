@@ -49,12 +49,11 @@ class ProportionalSparseEngine(EngineBase):
         self, n_vertices: int, scope=None, epsilon: float = 1e-9, budget=None, window=None,
         dense: bool = False,
     ) -> None:
+        if (scope is not None) + (budget is not None) + (window is not None) > 1:
+            raise ConfigError("selective/grouped, window and budget are mutually exclusive")
+        if window is not None and window < 1:
+            raise ConfigError("window must be a positive interaction count")
         super().__init__(n_vertices, epsilon)
-        if window is not None:
-            if window < 1:
-                raise ConfigError("window must be a positive interaction count")
-            if scope is not None or budget is not None:
-                raise ConfigError("selective/grouped, window and budget are mutually exclusive")
         self.policy = Policy.PROP_DENSE if dense else Policy.PROP_SPARSE
         self.scope = scope
         self.budget = budget
@@ -74,8 +73,12 @@ class ProportionalSparseEngine(EngineBase):
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
         for vectors in self.banks:
-            before = len(vectors[s]) + len(vectors[d]) if d != s else len(vectors[d])
-            if before < self._promote_at and type(vectors[s]) is dict and type(vectors[d]) is dict:
+            vs, vd = vectors[s], vectors[d]
+            before = len(vs) + len(vd) if d != s else len(vd)
+            if type(vd) is dict and (type(vs) is _Row or before >= self._promote_at):
+                vectors[d] = _Row(vd, self.n_slots + 1)
+                self.promoted_rows += 1
+            if type(vectors[s]) is dict:
                 self._transfer(vectors, r)
             else:
                 self._transfer_rows(vectors, r)
@@ -103,8 +106,8 @@ class ProportionalSparseEngine(EngineBase):
                 self.peak_entries = self.entries
             self.reset_at[b] = self.interactions_processed
 
-    def _transfer(self, vectors: list[dict], r: Interaction) -> None:
-        """Apply one interaction to two dict vectors of a bank."""
+    def _transfer(self, vectors: list, r: Interaction) -> None:
+        """Apply one interaction from a dict source; the destination is a dict or a row."""
         s, d, _, rq = r
         epsilon = self.epsilon
         source_total = self.totals[s]
@@ -139,16 +142,11 @@ class ProportionalSparseEngine(EngineBase):
             self._dust(vd, dust, d)
 
     def _transfer_rows(self, vectors: list, r: Interaction) -> None:
-        """``_transfer`` with the same float operations, row-wide: the destination
-        becomes a row, and a dict source is updated as a temporary row."""
+        """``_transfer`` for a row source, with the same float operations, row-wide;
+        ``process()`` has made the destination a row too."""
         s, d, _, rq = r
         source_total = self.totals[s]
-        if type(vectors[d]) is dict:
-            vectors[d] = _Row(vectors[d], self.n_slots + 1)
-            self.promoted_rows += 1
-        src = dst = vectors[d]
-        if d != s:
-            src = vectors[s] if type(vectors[s]) is _Row else _Row(vectors[s], self.n_slots + 1)
+        src, dst = vectors[s], vectors[d]
         if rq >= source_total:
             self._newborn(src, s, d, rq - source_total)
             if d != s:
@@ -160,8 +158,6 @@ class ProportionalSparseEngine(EngineBase):
             src.amounts *= 1.0 - alpha
             self._dust(src, src.scrub(self.epsilon), s)
             dst.amounts += moved  # the residual itself on a self-interaction
-            if type(vectors[s]) is dict:
-                vectors[s] = dict(src.items())
         self._dust(dst, dst.scrub(self.epsilon), d)
 
     def _newborn(self, vec, s: int, d: int, newborn: float) -> None:

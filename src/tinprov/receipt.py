@@ -40,14 +40,14 @@ class ReceiptEngine(ElementEngine):
         # the selected end of a buffer and how to remove the parcel there
         self._end = -1 if lifo else 0
         self._take = list.pop if lifo else deque.popleft
-        self._buffers: list = [[] if lifo else deque() for _ in range(n_vertices)]
+        self.buffers: list = [[] if lifo else deque() for _ in range(n_vertices)]
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
-        bs = self._buffers[s]
+        bs = self.buffers[s]
         # a self-interaction holds its selection apart until selection ends,
         # so it selects among the parcels present before it
-        bd = self._buffers[d] if d != s else []
+        bd = self.buffers[d] if d != s else []
         end = self._end
         take = self._take
         paths = self.paths
@@ -77,13 +77,13 @@ class ReceiptEngine(ElementEngine):
         self._settle(s, d, rq)
 
     def _adopt(self, buffers: list) -> None:
-        self._buffers = buffers if self.policy is Policy.LIFO else [deque(b) for b in buffers]
+        self.buffers = buffers if self.policy is Policy.LIFO else [deque(b) for b in buffers]
 
     def _parcels(self, v: int):
-        return self._buffers[v]
+        return self.buffers[v]
 
     def snapshot(self, v: int) -> list[tuple[int, float]]:
         """Buffer contents front-to-back as (origin, quantity) pairs."""
         if not 0 <= v < self.n_vertices:
             return []
-        return [(o, q) for o, q, _ in self._buffers[v]]
+        return [(o, q) for o, q, _ in self.buffers[v]]

@@ -41,15 +41,16 @@ class ScopeMap:
         k = len(tracked)
         if k == 0:
             raise ConfigError("selective tracking needs at least one vertex")
-        if len(set(tracked)) != k:
-            raise ConfigError("selective vertex set contains duplicates")
         slot_of = [k] * n_vertices
         slot_labels = []
         for slot, v in enumerate(tracked):
             if not 0 <= v < n_vertices:
                 raise ConfigError(f"selective vertex {v} out of range")
+            label = labels[v] if labels is not None else str(v)
+            if slot_of[v] != k:
+                raise ConfigError(f"selective vertex set contains duplicates (e.g. {label!r})")
             slot_of[v] = slot
-            slot_labels.append(labels[v] if labels is not None else str(v))
+            slot_labels.append(label)
         slot_labels.append(REST_LABEL)
         return cls("selective", slot_of, k + 1, slot_labels)
 
@@ -59,8 +60,12 @@ class ScopeMap:
         group_of: Mapping[int, int],
         n_vertices: int,
         group_labels: Optional[Sequence[str]] = None,
+        labels: Optional[Sequence[str]] = None,
     ) -> "ScopeMap":
-        """Track origins at the granularity of groups; every vertex must be mapped."""
+        """Track origins at the granularity of groups; every vertex must be mapped.
+
+        ``labels`` names the vertices in error messages; each defaults to its index.
+        """
         slot_of = [-1] * n_vertices
         n_groups = 0
         for v, g in group_of.items():
@@ -70,7 +75,9 @@ class ScopeMap:
             n_groups = max(n_groups, g + 1)
         missing = [v for v, g in enumerate(slot_of) if g < 0]
         if missing:
-            raise ConfigError(f"group map missing {len(missing)} vertices (e.g. {missing[0]})")
+            v = missing[0]
+            label = labels[v] if labels is not None else str(v)
+            raise ConfigError(f"group map missing {len(missing)} vertices (e.g. {label!r})")
         if group_labels is None:
             group_labels = [f"g{i}" for i in range(n_groups)]
         return cls("grouped", slot_of, n_groups, list(group_labels))

@@ -319,6 +319,34 @@ def test_groups_row_without_group_is_usage_error(example_file, tmp_path, capsys)
     assert "--groups line 2" in capsys.readouterr().err
 
 
+@pytest.fixture
+def people_file(tmp_path):
+    """alice, bob, carol and dave, as vertex indices 0 to 3."""
+    path = tmp_path / "people.csv"
+    path.write_text("alice,bob,1,3\nbob,carol,2,2\ncarol,dave,3,1\n")
+    return str(path)
+
+
+def test_groups_missing_vertex_is_named_by_label(people_file, tmp_path, capsys):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("alice,west\nbob,east\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", people_file, "--policy", "prop-sparse", "--groups", str(groups)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("error: group map missing 2 vertices (e.g. 'carol')")
+
+
+def test_selective_duplicate_is_named_by_label(people_file, tmp_path, capsys):
+    sel = tmp_path / "tracked.txt"
+    sel.write_text("bob\nalice\ncarol\nalice\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", people_file, "--policy", "prop-sparse", "--selective", str(sel)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("error: selective vertex set contains duplicates (e.g. 'alice')")
+
+
 def test_window_and_unknown_label(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("".join(f"a,b,{t},1\n" for t in range(1, 9)))
@@ -381,6 +409,22 @@ def test_synth_then_run(tmp_path, capsys):
     assert parse_csv(out)
 
 
+# the message of each configuration rule, by the options that break it
+CONFIG_MESSAGES = {
+    "--policy prop-sparse --window 0": "window must be a positive interaction count",
+    "--policy prop-sparse --window 3 --budget C=4":
+        "selective/grouped, window and budget are mutually exclusive",
+    "--policy prop-dense --budget C=4":
+        "window and budget mechanisms need sparse provenance lists",
+    "--policy prop-sparse --paths": "path tracking is only meaningful for element policies",
+    "--policy fifo --coalesce": "coalescing applies to generation-time policies only",
+    "--policy lrb --coalesce --paths": "coalescing would merge parcels with distinct paths",
+    "--epsilon -1": "epsilon must be finite and non-negative",
+    "--policy fifo --window 3":
+        "selective/grouped, window and budget only apply to proportional policies",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -401,6 +445,13 @@ def test_synth_then_run(tmp_path, capsys):
         ["run", "x.csv", "--top", "-1"],
         ["run", "x.csv", "--policy", "fifo", "--window", "3"],
         ["run", "x.csv", "--policy", "prop-sparse", "--selective", "topk=0"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--window", "0"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--window", "3", "--budget", "C=4"],
+        ["run", "x.csv", "--policy", "prop-dense", "--budget", "C=4"],
+        ["run", "x.csv", "--policy", "prop-sparse", "--paths"],
+        ["run", "x.csv", "--policy", "fifo", "--coalesce"],
+        ["run", "x.csv", "--policy", "lrb", "--coalesce", "--paths"],
+        ["run", "x.csv", "--epsilon", "-1"],
     ],
 )
 def test_usage_errors(argv, capsys):
@@ -411,6 +462,9 @@ def test_usage_errors(argv, capsys):
     assert "cannot open" not in err  # refused before x.csv is read
     if "--window" in argv:
         assert "window" in err.splitlines()[-1]  # the message names the option given
+    message = CONFIG_MESSAGES.get(" ".join(argv[2:]))
+    if message is not None:
+        assert err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_import_loads_no_numpy(example_file, tmp_path):

@@ -1,5 +1,6 @@
 """Least/most-recently-born policies: golden table, oracle agreement, coalescing."""
 
+import random
 from collections import defaultdict
 from math import copysign
 
@@ -209,6 +210,23 @@ def test_coalesce_holds_what_plain_holds(most_recent):
         assert ran.buffers == merged.buffers
         assert ran.entries == merged.entries
         assert ran.peak_entries == merged.peak_entries
+
+
+@pytest.mark.parametrize("most_recent", [False, True])
+def test_coalesce_keeps_origin_and_key_unique_in_every_heap(most_recent):
+    """No heap of a coalescing engine holds two entries of equal (origin, key),
+    so seq, which repeats under coalescing, never decides a heap order."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        e = GenTimeEngine(6, most_recent=most_recent, coalesce=True)
+        t = 0.0
+        for _ in range(300):
+            t += rng.choice((0.0, 0.0, 1.0, 2.5))  # runs of repeated times
+            q = rng.randint(1, 20) if rng.random() < 0.5 else rng.uniform(0.01, 20.0)
+            e.process(Interaction(rng.randrange(6), rng.randrange(6), t, float(q)))
+            for heap in e.buffers:
+                keys = [(entry[1], entry[0]) for entry in heap]
+                assert len(set(keys)) == len(keys)
 
 
 def test_coalesce_with_paths_rejected():

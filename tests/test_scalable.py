@@ -204,3 +204,8 @@ def test_window_validation():
         ProportionalSparseEngine(2, scope=ScopeMap.selective([0], 2), window=3)
     with pytest.raises(ConfigError):
         ProportionalSparseEngine(2, budget=BudgetSpec(4), window=3)
+
+
+def test_engine_refuses_scope_with_budget():
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        ProportionalSparseEngine(3, scope=ScopeMap.selective([0], 3), budget=BudgetSpec(4))
