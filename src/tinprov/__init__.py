@@ -18,9 +18,9 @@ from .core import (
     parse_stream,
     sort_check,
 )
-from .engines import EngineConfig, build_engine
+from .engines import build_engine
 from .gentime import GenTimeEngine
-from .oracle import Oracle, Parcel
+from .oracle import Oracle
 from .paths import PathStore
 from .proportional import ProportionalSparseEngine, densify
 from .receipt import ReceiptEngine
@@ -39,13 +39,11 @@ __all__ = [
     "ConfigError",
     "densify",
     "ELEMENT_POLICIES",
-    "EngineConfig",
     "GenTimeEngine",
     "generated_totals",
     "Interaction",
     "NoProvEngine",
     "Oracle",
-    "Parcel",
     "parse_stream",
     "PathStore",
     "Policy",

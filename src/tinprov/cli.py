@@ -21,7 +21,7 @@ from .core import (
     parse_stream,
     sort_check,
 )
-from .engines import EngineConfig, build_engine
+from .engines import build_engine
 from .report import build_report
 from .scalable import BudgetSpec, ScopeMap
 from .synth import SHAPES, synth_stream, write_stream
@@ -124,7 +124,7 @@ def _load_scope(
             tracked = ranked[:topk]
         else:
             lines = _read_lines(parser, args.selective)
-            labels = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
+            labels = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
             for label in labels:
                 if label not in table:
                     raise ConfigError(f"--selective label {label!r} does not occur in the input")
@@ -221,8 +221,7 @@ def cmd_run(args, parser) -> int:
             parser.error("--alert-threshold requires a proportional policy")
         if every_k is not None:
             parser.error("--alert-threshold cannot be combined with every-k snapshots")
-    cfg = EngineConfig(
-        policy=policy,
+    options = dict(
         window=args.window,
         budget=budget,
         track_paths=args.paths,
@@ -230,7 +229,7 @@ def cmd_run(args, parser) -> int:
         epsilon=args.epsilon,
     )
     try:
-        cfg.validate()  # before the input is read; build_engine checks the scope
+        build_engine(policy, 0, **options)  # before the input is read; the scope comes later
     except ConfigError as exc:
         parser.error(str(exc))
 
@@ -253,8 +252,8 @@ def cmd_run(args, parser) -> int:
     stream = sort_check(stream)
 
     try:
-        scope = cfg.scope = _load_scope(args, parser, topk, table, stream)
-        engine = build_engine(cfg, len(table))
+        scope = _load_scope(args, parser, topk, table, stream)
+        engine = build_engine(policy, len(table), scope=scope, **options)
     except ConfigError as exc:
         parser.error(str(exc))
 

@@ -252,6 +252,11 @@ def sort_check(stream: Sequence[Interaction]) -> list[Interaction]:
     return stream if isinstance(stream, list) else list(stream)
 
 
+def vertex_error(n_vertices: int) -> IndexError:
+    """The error for a record whose source or dest is outside ``[0, n_vertices)``."""
+    return IndexError(f"vertex index not an integer in [0, {n_vertices})")
+
+
 class EngineBase:
     """Shared per-vertex total accounting (identical across all policies)."""
 
@@ -277,10 +282,15 @@ class EngineBase:
         """Apply the baseline total update for ``rq`` units from ``s`` to ``d``.
 
         Callers pass fields they have unpacked: reading an ``Interaction``
-        costs more than reading locals.
+        costs more than reading locals.  A vertex outside ``[0, n_vertices)``
+        raises IndexError before anything changes: a list takes -1 as its last
+        item, and an index past the end fails at the first read.
         """
+        if s < 0 or d < 0:
+            raise vertex_error(self.n_vertices)
         totals = self.totals
         bs = totals[s]
+        totals[d]  # read before the first write
         q = rq if rq < bs else bs
         totals[s] = bs - q
         totals[d] += rq

@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from ._kernels import ElementEngine
-from .core import Interaction, Policy
+from .core import Interaction, Policy, vertex_error
 from .paths import NO_PATH
 
 _KEY, _ORIGIN, _SEQ, _QTY, _PATH = range(5)
@@ -55,7 +55,10 @@ class GenTimeEngine(ElementEngine):
 
     def process(self, r: Interaction) -> None:
         s, d, t, rq = r
+        if s < 0 or d < 0:
+            raise vertex_error(self.n_vertices)
         src = self.buffers[s]
+        dst = self.buffers[d]  # read before the first write
         eps = self.epsilon
         paths = self.paths
         merge = self._merge_maps
@@ -87,7 +90,6 @@ class GenTimeEngine(ElementEngine):
         # the parcels join the destination only now, in selection order and
         # the newborn last, so a self-interaction selects among the parcels
         # present before it
-        dst = self.buffers[d]
         live = merge[d] if merge is not None else None
         for entry in moved:
             if live is not None:

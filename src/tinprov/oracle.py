@@ -52,7 +52,7 @@ class Oracle:
     def process(self, r: Interaction) -> None:
         if self.policy in ELEMENT_POLICIES:
             self._process_element(r)
-        elif self.policy in (Policy.PROP_DENSE, Policy.PROP_SPARSE):
+        elif self.policy in PROPORTIONAL_POLICIES:
             self._process_proportional(r)
         # totals follow the baseline rule for every policy
         bs = self.totals[r.source]
@@ -72,19 +72,11 @@ class Oracle:
             return 0
         if policy is Policy.LIFO:
             return len(buf) - 1
-        if policy is Policy.LEAST_RECENTLY_BORN:
-            best = 0
-            for i in range(1, len(buf)):
-                a, b = buf[i], buf[best]
-                if (a.birth_time, a.origin, a.seq) < (b.birth_time, b.origin, b.seq):
-                    best = i
-            return best
-        best = 0
-        for i in range(1, len(buf)):
-            a, b = buf[i], buf[best]
-            if (-a.birth_time, a.origin, a.seq) < (-b.birth_time, b.origin, b.seq):
-                best = i
-        return best
+        # LRB takes the oldest birth, MRB the youngest; min keeps the first minimal index
+        sign = 1.0 if policy is Policy.LEAST_RECENTLY_BORN else -1.0
+        return min(
+            range(len(buf)), key=lambda i: (sign * buf[i].birth_time, buf[i].origin, buf[i].seq)
+        )
 
     def _process_element(self, r: Interaction) -> None:
         src = self.buffers[r.source]
@@ -134,21 +126,15 @@ class Oracle:
 
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot_gentime(self, v: int) -> list[tuple[int, float, float]]:
+    def snapshot(self, v: int):
+        """v's holdings: (origin, amount) for every non-zero vector entry under
+        the proportional policies, (origin, quantity) parcels under FIFO/LIFO,
+        (origin, birth_time, quantity) under LRB/MRB."""
+        if self.policy in PROPORTIONAL_POLICIES:
+            return [(i, q) for i, q in enumerate(self.vectors[v]) if q != 0.0]
+        if self.policy in (Policy.FIFO, Policy.LIFO):
+            return [(p.origin, p.quantity) for p in self.buffers[v]]
         return [(p.origin, p.birth_time, p.quantity) for p in self.buffers[v]]
-
-    def snapshot_receipt(self, v: int) -> list[tuple[int, float]]:
-        return [(p.origin, p.quantity) for p in self.buffers[v]]
 
     def snapshot_paths(self, v: int) -> list[tuple[int, float, tuple[int, ...]]]:
         return [(p.origin, p.quantity, p.path) for p in self.buffers[v]]
-
-    def snapshot_proportional(self, v: int) -> list[tuple[int, float]]:
-        return [(i, q) for i, q in enumerate(self.vectors[v]) if q != 0.0]
-
-    def snapshot(self, v: int):
-        if self.policy in (Policy.PROP_DENSE, Policy.PROP_SPARSE):
-            return self.snapshot_proportional(v)
-        if self.policy in (Policy.FIFO, Policy.LIFO):
-            return self.snapshot_receipt(v)
-        return self.snapshot_gentime(v)

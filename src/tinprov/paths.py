@@ -48,9 +48,6 @@ class PathStore:
         self._depth.append(depth)
         return len(self._vertex) - 1
 
-    def length(self, handle: int) -> int:
-        return self._depth[handle]
-
     def mean_length(self, handles: Iterable[int]) -> float:
         """Mean route length (vertices, origin included) of ``handles``; 0.0 if none."""
         depth = self._depth

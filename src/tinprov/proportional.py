@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import UNKNOWN, ConfigError, EngineBase, Interaction, Policy
+from .core import UNKNOWN, ConfigError, EngineBase, Interaction, Policy, vertex_error
 
 PROMOTE_FRACTION = 0.15  # dicts holding this share of n_slots entries between them ...
 PROMOTE_MIN = 48  # ... and at least this many transfer into a row
@@ -72,6 +72,8 @@ class ProportionalSparseEngine(EngineBase):
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
+        if s < 0 or d < 0:
+            raise vertex_error(self.n_vertices)
         for vectors in self.banks:
             vs, vd = vectors[s], vectors[d]
             before = len(vs) + len(vd) if d != s else len(vd)

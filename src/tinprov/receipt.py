@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from ._kernels import ElementEngine
-from .core import Interaction, Policy
+from .core import Interaction, Policy, vertex_error
 from .paths import NO_PATH
 
 
@@ -44,6 +44,8 @@ class ReceiptEngine(ElementEngine):
 
     def process(self, r: Interaction) -> None:
         s, d, _, rq = r
+        if s < 0 or d < 0:
+            raise vertex_error(self.n_vertices)
         bs = self.buffers[s]
         # a self-interaction holds its selection apart until selection ends,
         # so it selects among the parcels present before it

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import tinprov
-from tinprov import EngineConfig, Interaction, Policy, _kernels, build_engine
+from tinprov import Interaction, Policy, _kernels, build_engine
 
 # the six-interaction example used by all the golden tables (v0, v1, v2 = 0, 1, 2)
 EXAMPLE = [
@@ -39,10 +39,28 @@ def pure_python(monkeypatch):
     monkeypatch.setattr(_kernels, "AVAILABLE", False)
 
 
+def kernels_missing():
+    """What the kernels need to build and cannot find: a C compiler, the Python headers."""
+    python_h = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    needs = [("a C compiler (cc on PATH)", _kernels._CC), (str(python_h), python_h.exists())]
+    return [name for name, found in needs if not found]
+
+
 def kernels_buildable():
     """Whether a C compiler and the Python headers, which the kernels need, exist."""
-    include = Path(sysconfig.get_paths()["include"])
-    return _kernels._CC is not None and (include / "Python.h").exists()
+    return not kernels_missing()
+
+
+def pytest_report_header(config):
+    """Say whether the replay kernels can be built, without loading them here:
+    the kernel tests time the first load of a process."""
+    missing = kernels_missing()
+    if not missing:
+        return f"replay kernels: buildable with {_kernels._CC}"
+    return [
+        f"replay kernels: not buildable, missing {' and '.join(missing)}",
+        "  the kernel tests skip, and criterion 12 times the pure-Python replay",
+    ]
 
 
 def pytest_sessionstart(session):
@@ -90,7 +108,7 @@ def rand_stream(n_vertices, n_interactions, seed, self_loops=False, max_q=50):
 
 def prop_dense(n_vertices, scope=None):
     """The prop-dense engine: every vector that holds an entry is a NumPy row."""
-    return build_engine(EngineConfig(Policy.PROP_DENSE, scope=scope), n_vertices)
+    return build_engine(Policy.PROP_DENSE, n_vertices, scope=scope)
 
 
 def multiset(snapshot):

@@ -161,12 +161,12 @@ def _engine_oracle(policy, n):
 def _assert_same(policy, engine, oracle, v, n):
     if policy is Policy.PROP_DENSE:
         got = densify(engine.snapshot(v), n)
-        want = densify(oracle.snapshot_proportional(v), n)
+        want = densify(oracle.snapshot(v), n)
         assert got == pytest.approx(want, abs=1e-9)
     elif policy in (Policy.LEAST_RECENTLY_BORN, Policy.MOST_RECENTLY_BORN):
-        assert multiset(engine.snapshot(v)) == multiset(oracle.snapshot_gentime(v))
+        assert multiset(engine.snapshot(v)) == multiset(oracle.snapshot(v))
     else:
-        assert engine.snapshot(v) == oracle.snapshot_receipt(v)
+        assert engine.snapshot(v) == oracle.snapshot(v)
 
 
 ORACLE_POLICIES = [

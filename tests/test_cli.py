@@ -269,6 +269,18 @@ def test_selective_file(example_file, tmp_path, capsys):
     assert any(r["origin"] == "v2" for r in rows)
 
 
+def test_selective_file_indented_comment(example_file, tmp_path, capsys):
+    # comment lines are recognised after stripping, as in the input file
+    plain = tmp_path / "plain.txt"
+    plain.write_text("v2\n")
+    indented = tmp_path / "indented.txt"
+    indented.write_text("  # note\nv2\n\t# another note\n")
+    argv = ["run", example_file, "--policy", "prop-sparse", "--selective"]
+    code, out, _ = run_cli([*argv, str(indented)], capsys)
+    assert code == 0
+    assert out == run_cli([*argv, str(plain)], capsys)[1]
+
+
 def test_byte_order_mark_is_not_part_of_a_label(example_file, tmp_path, capsys, monkeypatch):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + Path(example_file).read_bytes())

@@ -7,16 +7,16 @@ from tinprov import Interaction, Oracle, Policy
 
 def test_oracle_least_recent_hand_trace(example_stream):
     o = Oracle(3, Policy.LEAST_RECENTLY_BORN).run(example_stream)
-    assert sorted(o.snapshot_gentime(0)) == [(1, 1.0, 1.0), (2, 3.0, 2.0)]
-    assert sorted(o.snapshot_gentime(1)) == [(1, 1.0, 2.0)]
-    assert sorted(o.snapshot_gentime(2)) == [(1, 5.0, 4.0)]
+    assert sorted(o.snapshot(0)) == [(1, 1.0, 1.0), (2, 3.0, 2.0)]
+    assert sorted(o.snapshot(1)) == [(1, 1.0, 2.0)]
+    assert sorted(o.snapshot(2)) == [(1, 5.0, 4.0)]
 
 
 def test_oracle_lifo_hand_trace(example_stream):
     o = Oracle(3, Policy.LIFO).run(example_stream)
-    assert o.snapshot_receipt(0) == [(1, 2.0), (1, 1.0)]
-    assert o.snapshot_receipt(1) == [(1, 2.0)]
-    assert o.snapshot_receipt(2) == [(1, 1.0), (2, 2.0), (1, 1.0)]
+    assert o.snapshot(0) == [(1, 2.0), (1, 1.0)]
+    assert o.snapshot(1) == [(1, 2.0)]
+    assert o.snapshot(2) == [(1, 1.0), (2, 2.0), (1, 1.0)]
 
 
 def test_oracle_fifo_two_steps():
@@ -24,8 +24,8 @@ def test_oracle_fifo_two_steps():
     o.process(Interaction(0, 1, 1.0, 3.0))
     o.process(Interaction(0, 1, 2.0, 2.0))
     o.process(Interaction(1, 0, 3.0, 4.0))  # front parcel (3) whole + split (1)
-    assert o.snapshot_receipt(0) == [(0, 3.0), (0, 1.0)]
-    assert o.snapshot_receipt(1) == [(0, 1.0)]
+    assert o.snapshot(0) == [(0, 3.0), (0, 1.0)]
+    assert o.snapshot(1) == [(0, 1.0)]
 
 
 def test_oracle_proportional_hand_trace(example_stream):

@@ -18,10 +18,10 @@ def test_store_birth_and_extend():
     ps = PathStore()
     a = ps.birth(3)
     assert ps.sequence(a) == (3,)
-    assert ps.length(a) == 1
+    assert len(ps.sequence(a)) == 1
     b = ps.extend(a, 7)
     assert ps.sequence(b) == (3, 7)
-    assert ps.length(b) == 2
+    assert len(ps.sequence(b)) == 2
 
 
 def test_store_extend_appends_one_node():

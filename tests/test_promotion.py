@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tinprov import (
     UNKNOWN,
     BudgetSpec,
-    EngineConfig,
     Interaction,
     Oracle,
     Policy,
@@ -44,7 +43,7 @@ NEAR_DRAIN = [Interaction(0, 1, 1.0, 3.0), Interaction(1, 0, 2.0, 2.7)]
     [
         lambda **kw: engine(math.inf, 2, **kw),
         lambda **kw: engine(0.0, 2, **kw),
-        lambda **kw: build_engine(EngineConfig(Policy.PROP_DENSE, **kw), 2),
+        lambda **kw: build_engine(Policy.PROP_DENSE, 2, **kw),
     ],
     ids=["dicts", "rows", "prop-dense"],
 )

@@ -51,7 +51,7 @@ def test_oracle_agreement(lifo):
             eng.process(r)
             orc.process(r)
             for v in range(10):
-                assert eng.snapshot(v) == orc.snapshot_receipt(v)
+                assert eng.snapshot(v) == orc.snapshot(v)
             assert eng.totals == orc.totals
 
 
@@ -112,8 +112,8 @@ def test_fifo_front_consumption_and_compaction():
     for r in stream:
         e.process(r)
         ref.process(r)
-        assert e.snapshot(0) == ref.snapshot_receipt(0)
-        assert e.snapshot(1) == ref.snapshot_receipt(1)
+        assert e.snapshot(0) == ref.snapshot(0)
+        assert e.snapshot(1) == ref.snapshot(1)
 
 
 def test_self_loop_literal_rotation():
@@ -127,7 +127,7 @@ def test_self_loop_literal_rotation():
     for lifo, policy in ((False, Policy.FIFO), (True, Policy.LIFO)):
         eng = ReceiptEngine(3, lifo=lifo).run(stream)
         orc = Oracle(3, policy).run(stream)
-        assert eng.snapshot(1) == orc.snapshot_receipt(1)
+        assert eng.snapshot(1) == orc.snapshot(1)
         assert eng.totals == orc.totals
 
 

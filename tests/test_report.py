@@ -2,7 +2,6 @@
 
 from tinprov import (
     BudgetSpec,
-    EngineConfig,
     NoProvEngine,
     Policy,
     ProportionalSparseEngine,
@@ -91,7 +90,7 @@ def test_build_report_sparse_without_budget(example_stream):
 
 
 def test_prop_dense_report_counts_held_entries(example_stream):
-    dense = build_engine(EngineConfig(Policy.PROP_DENSE), 3).run(example_stream)
+    dense = build_engine(Policy.PROP_DENSE, 3).run(example_stream)
     sparse = ProportionalSparseEngine(3).run(example_stream)
     report = build_report(dense, wall_time_s=0.0)
     # the entries held at the peak, as prop-sparse counts them, not 3 × 3 slots

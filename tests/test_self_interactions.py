@@ -86,7 +86,7 @@ def test_lifo_self_interaction_rejoins_in_selection_order():
     stream.append(Interaction(1, 1, 4.0, 6.0))  # selects 4 then 2 from the top
     e = ReceiptEngine(2, lifo=True).run(stream)
     assert e.snapshot(1) == [(0, 1.0), (0, 4.0), (0, 2.0)]
-    assert e.snapshot(1) == Oracle(2, Policy.LIFO).run(stream).snapshot_receipt(1)
+    assert e.snapshot(1) == Oracle(2, Policy.LIFO).run(stream).snapshot(1)
 
 
 # A dust-only buffer once made a self-interaction loop forever, in process()
