@@ -1,8 +1,9 @@
 """Compiled replay kernels (C, built as an extension module), and the element
 engines' base class, :class:`ElementEngine`, whose ``run()`` hands them every
-path-free replay of a fresh engine, whatever its length, in one call into the
-module.  The module reads the ``Interaction`` records, replays them and
-returns the engine's totals and its buffers, built as the engine keeps them.
+replay of a fresh engine that does not coalesce, routes or not, whatever its
+length, in one call into the module.  The module reads the ``Interaction``
+records, replays them and returns the engine's totals and its buffers, built
+as the engine keeps them; with routes it fills the route store's node columns.
 
 The C source ships inside the package (``_replay.c``) and builds as a
 Python extension module: loading one costs a fraction of a millisecond,
@@ -22,11 +23,11 @@ Importing the package loads neither a compiler nor NumPy, and a replay
 never loads NumPy either.  Records are checked in C before a replay starts.
 
 Semantics are identical to the engines' ``process()`` paths: the same
-selection rule, split/dust rule, newborn rule, baseline total arithmetic and,
-for the generation-time heaps, the same ``heapq`` layout.  Results are
-bit-identical to the pure-Python path, and the engines' tests difference the
-two.  Without a C compiler or the Python headers the engines run pure
-Python.
+selection rule, split/dust rule, newborn rule, relay rule for routes,
+baseline total arithmetic and, for the generation-time heaps, the same
+``heapq`` layout.  Results are bit-identical to the pure-Python path, and the
+engines' tests difference the two.  Without a C compiler or the Python
+headers the engines run pure Python.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import ConfigError, EngineBase
-from .paths import NO_PATH, PathStore
+from .paths import PathStore
 
 logger = logging.getLogger(__name__)
 
@@ -165,24 +166,27 @@ class ElementEngine(EngineBase):
     def run(self, stream) -> "ElementEngine":
         """Replay a whole stream; same semantics as repeated process() calls.
 
-        The kernels start from empty buffers and keep neither routes nor
-        merged parcels, so a fresh engine with both off replays a list or
-        tuple in them when they load.  A record that is not four fields
+        The kernels start from empty buffers and an empty route store, and
+        merge no parcels, so a fresh engine that does not coalesce replays a
+        list or tuple in them when they load.  A record that is not four fields
         raises ValueError, and a source or dest that is not an integer in
         ``[0, n_vertices)`` raises IndexError, before the engine changes.
         """
-        if not (
-            self.paths is None
-            and not self.coalesce
-            and self.interactions_processed == 0
-            and self.entries == 0
-            and isinstance(stream, (list, tuple))
-            and warmup()
+        if (
+            self.coalesce
+            or self.interactions_processed
+            or self.entries
+            or not isinstance(stream, (list, tuple))
+            or not warmup()
         ):
             return super().run(stream)
+        # a new store, kept only once the replay succeeds
+        paths = None if self.paths is None else PathStore()
+        columns = None if paths is None else paths.columns
         self.totals, self.generated, self.cumulative_newborn, self.entries, buffers = (
-            _lib.replay(stream, self.n_vertices, self.policy.value, self.epsilon, NO_PATH)
+            _lib.replay(stream, self.n_vertices, self.policy.value, self.epsilon, columns)
         )
+        self.paths = paths
         self.peak_entries = max(self.peak_entries, self.entries)
         self.interactions_processed = len(stream)
         self.backend = "compiled"
@@ -191,9 +195,10 @@ class ElementEngine(EngineBase):
 
     def _adopt(self, buffers: list) -> None:
         """Take a kernel replay's buffers, vertex v's parcels in buffer order:
-        ``(origin, quantity, NO_PATH)`` tuples under FIFO/LIFO, heap entries
-        ``[key, origin, seq, quantity, NO_PATH]`` in ``heapq`` layout under
-        LRB/MRB.  They become ``buffers`` as given unless a subclass overrides this."""
+        ``(origin, quantity, path)`` tuples under FIFO/LIFO, heap entries
+        ``[key, origin, seq, quantity, path]`` in ``heapq`` layout under
+        LRB/MRB, the path a handle into ``paths``, or NO_PATH without routes.
+        They become ``buffers`` as given unless a subclass overrides this."""
         self.buffers = buffers
 
     def snapshot_paths(self, v: int) -> list[tuple[int, float, tuple[int, ...]]]:

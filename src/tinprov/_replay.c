@@ -12,13 +12,20 @@
  * loop parks its selection on a spare buffer (index nv) and moves it to the
  * vertex, in selection order, once selection ends.
  *
+ * With routes, each parcel also holds a handle into a growable pool of route
+ * nodes, three columns (vertex, parent, depth) laid out as paths.PathStore
+ * keeps them.  The loop appends a node wherever process() does: one per
+ * parcel that leaves a vertex, moved whole or as a split copy, and one per
+ * newborn, in the same order, so the columns come out node for node equal.
+ *
  * The loop reads the stream as one flat array of checked records, four
  * doubles each (source, dest, time, quantity).  It ends by writing every
  * vertex's parcels in buffer order, vertex by vertex, with counts[v] parcels
  * for vertex v, and returns the number of live parcels, or -1 when memory
  * runs out.  The file is built as a Python extension module, whose one
  * binding, replay(), reads the Interaction records into that array, runs the
- * loop and returns the engine's buffers, built from the parcels.
+ * loop and returns the engine's buffers, built from the parcels; with routes
+ * it first extends the columns of a new PathStore by the route nodes.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -105,23 +112,52 @@ static int append(buf *b, int64_t j, const order *heap)
     return 0;
 }
 
+/* Route nodes: node i is vertex[i] appended to the route of node parent[i]
+ * (-1 for none), depth[i] vertices long. */
+typedef struct {
+    int64_t *vertex, *parent, *depth, n, cap;
+} routes;
+
+/* Append the node "parent's route, then vertex" to r and return its index;
+ * -1 when memory runs out. */
+static int64_t relay(routes *r, int64_t vertex, int64_t parent)
+{
+    if (r->n == r->cap) {
+        int64_t cap = r->cap ? 2 * r->cap : 64;
+        int64_t **col[] = {&r->vertex, &r->parent, &r->depth};
+        for (int c = 0; c < 3; c++) {
+            int64_t *a = realloc(*col[c], cap * sizeof *a);
+            if (!a)
+                return -1;
+            *col[c] = a;
+        }
+        r->cap = cap;
+    }
+    r->vertex[r->n] = vertex;
+    r->parent[r->n] = parent;
+    r->depth[r->n] = parent < 0 ? 1 : r->depth[parent] + 1;
+    return r->n++;
+}
+
 /* Replay the n records under one selection order: FIFO takes a buffer's
  * front, LIFO its back, and with a sign (1 for LRB, -1 for MRB) each buffer
- * is a heap keyed on the signed birth time. */
+ * is a heap keyed on the signed birth time.  Given rt, the parcels keep
+ * routes in it, and out_handle receives each parcel's route. */
 static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double sign,
                       double eps, double *totals, double *generated, double *cum_nb,
                       int64_t *out_orig, double *out_key, double *out_qty, int64_t *out_seq,
-                      int64_t *counts)
+                      int64_t *counts, routes *rt, int64_t *out_handle)
 {
     int64_t pcap = 2 * n + 1; /* at most one split and one newborn per interaction */
     int64_t *porig = malloc(pcap * sizeof *porig);
     double *pkey = malloc(pcap * sizeof *pkey);
     double *pqty = malloc(pcap * sizeof *pqty);
+    int64_t *phandle = rt ? malloc(pcap * sizeof *phandle) : NULL;
     buf *b = calloc(nv + 1, sizeof *b); /* b[nv]: a self-interaction's selection */
     order o = {pkey, porig};
     const order *heap = sign ? &o : NULL;
     int64_t nalloc = 0;
-    if (!porig || !pkey || !pqty || !b)
+    if (!porig || !pkey || !pqty || !b || (rt && !phandle))
         goto fail;
     for (const double *r = rec; r < rec + 4 * n; r += 4) {
         int64_t s = (int64_t)r[0], d = (int64_t)r[1];
@@ -139,6 +175,8 @@ static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double
                 if (heap)
                     pkey[j] = pkey[h];
                 pqty[j] = resq;
+                if (rt)
+                    phandle[j] = phandle[h];
                 h = j;
                 resq = 0.0;
             } else {
@@ -151,6 +189,8 @@ static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double
                 }
                 resq -= tq;
             }
+            if (rt && (phandle[h] = relay(rt, s, phandle[h])) < 0)
+                goto fail;
             /* the spare buffer keeps selection order, which for a heap is
              * ascending order */
             if (append(to, h, to == b + nv ? NULL : heap))
@@ -166,6 +206,8 @@ static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double
             if (heap)
                 pkey[j] = sign * r[2];
             pqty[j] = resq;
+            if (rt && (phandle[j] = relay(rt, s, -1)) < 0)
+                goto fail;
             if (append(b + d, j, heap))
                 goto fail;
         }
@@ -187,6 +229,8 @@ static int64_t replay(int64_t n, const double *rec, int64_t nv, int lifo, double
                 out_key[k] = pkey[*j];
                 out_seq[k] = *j;
             }
+            if (rt)
+                out_handle[k] = phandle[*j];
         }
     }
     goto done;
@@ -199,6 +243,7 @@ done:
     free(porig);
     free(pkey);
     free(pqty);
+    free(phandle);
     return nalloc;
 }
 
@@ -256,11 +301,12 @@ static PyObject *floats(const double *x, Py_ssize_t n)
     return list;
 }
 
-/* Output parcel k as a heapq entry [key, origin, seq, quantity, no_path] when
- * heaps is set, else as a tuple (origin, quantity, no_path), its items set in
- * place; NULL when memory runs out. */
+/* Output parcel k as a heapq entry [key, origin, seq, quantity, path] when
+ * heaps is set, else as a tuple (origin, quantity, path), its items set in
+ * place; the path is handle[k], or -1 (paths.NO_PATH) without handles.  NULL
+ * when memory runs out. */
 static PyObject *parcel(Py_ssize_t k, const int64_t *orig, const double *qty, const double *key,
-                        const int64_t *seq, int heaps, PyObject *no_path)
+                        const int64_t *seq, int heaps, const int64_t *handle)
 {
     PyObject *p = heaps ? PyList_New(5) : PyTuple_New(3);
     if (!p)
@@ -273,7 +319,7 @@ static PyObject *parcel(Py_ssize_t k, const int64_t *orig, const double *qty, co
     if (heaps)
         x[m++] = PyLong_FromLongLong(seq[k]);
     x[m++] = PyFloat_FromDouble(qty[k]);
-    x[m++] = Py_NewRef(no_path);
+    x[m++] = PyLong_FromLongLong(handle ? handle[k] : -1);
     while (m--)
         if (!x[m]) {
             Py_DECREF(p); /* frees the items made; a list or tuple may hold NULL */
@@ -288,14 +334,14 @@ static PyObject *parcel(Py_ssize_t k, const int64_t *orig, const double *qty, co
  * several times the build. */
 static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *orig,
                          const double *qty, const double *key, const int64_t *seq,
-                         int heaps, PyObject *no_path)
+                         int heaps, const int64_t *handle)
 {
     int gc = PyGC_Disable();
     PyObject *bufs = PyList_New(nv);
     for (Py_ssize_t v = 0, k = 0; bufs && v < nv; v++) {
         PyObject *list = PyList_New(counts[v]);
         for (Py_ssize_t i = 0; list && i < counts[v]; i++, k++) {
-            PyObject *p = parcel(k, orig, qty, key, seq, heaps, no_path);
+            PyObject *p = parcel(k, orig, qty, key, seq, heaps, handle);
             PyList_SET_ITEM(list, i, p);
             if (!p)
                 Py_CLEAR(list);
@@ -309,16 +355,42 @@ static PyObject *buffers(Py_ssize_t nv, const int64_t *counts, const int64_t *or
     return bufs;
 }
 
-/* replay(stream, nv, policy, eps, no_path) returns (totals, generated,
- * cumulative_newborn, entries, buffers); see ElementEngine.run. */
+/* Extend columns, a tuple of three arrays (PathStore's vertex, parent and
+ * depth), by the route pool's columns through memoryviews, freeing each pool
+ * column once it is copied; -1 with an exception set when that fails. */
+static int extend_columns(PyObject *columns, routes *r)
+{
+    int64_t **col[] = {&r->vertex, &r->parent, &r->depth};
+    int ok = PyTuple_Check(columns) && PyTuple_GET_SIZE(columns) == 3;
+    if (!ok)
+        PyErr_SetString(PyExc_TypeError, "routes must be None or a tuple of 3 arrays");
+    for (int c = 0; c < 3; c++) {
+        PyObject *view = ok ? PyMemoryView_FromMemory((char *)*col[c], r->n * 8, PyBUF_READ)
+                            : NULL;
+        PyObject *done = view ? PyObject_CallMethod(PyTuple_GET_ITEM(columns, c), "frombytes",
+                                                    "O", view)
+                              : NULL;
+        ok = done != NULL;
+        Py_XDECREF(done);
+        Py_XDECREF(view); /* before the memory it views is freed */
+        free(*col[c]);
+        *col[c] = NULL;
+    }
+    return ok ? 0 : -1;
+}
+
+/* replay(stream, nv, policy, eps, routes) returns (totals, generated,
+ * cumulative_newborn, entries, buffers), and extends routes, None or a
+ * PathStore's columns, by the replay's route nodes; see ElementEngine.run. */
 static PyObject *py_replay(PyObject *self, PyObject *args)
 {
-    PyObject *stream, *no_path;
+    PyObject *stream, *columns;
     Py_ssize_t nv;
     const char *policy;
     double eps, cum_nb = 0.0;
-    if (!PyArg_ParseTuple(args, "OnsdO", &stream, &nv, &policy, &eps, &no_path))
+    if (!PyArg_ParseTuple(args, "OnsdO", &stream, &nv, &policy, &eps, &columns))
         return NULL;
+    int with_routes = columns != Py_None;
     int lifo = !strcmp(policy, "lifo"); /* sign 0: fifo or lifo */
     double sign = !strcmp(policy, "lrb") ? 1.0 : !strcmp(policy, "mrb") ? -1.0 : 0.0;
     if (!sign && !lifo && strcmp(policy, "fifo"))
@@ -336,28 +408,38 @@ static PyObject *py_replay(PyObject *self, PyObject *args)
         return NULL;
     /* sums: the totals, then generated; each interaction adds at most 2 parcels */
     int64_t pcap = 2 * n + 1, entries = -1;
+    routes rt = {NULL, NULL, NULL, 0, 0};
     double *sums = calloc(2 * nv + 1, sizeof *sums);
     double *qty = malloc(pcap * sizeof *qty), *key = malloc(pcap * sizeof *key);
     int64_t *orig = malloc(pcap * sizeof *orig), *seq = malloc(pcap * sizeof *seq);
     int64_t *counts = malloc((nv + 1) * sizeof *counts);
-    if (sums && qty && key && orig && seq && counts) {
+    int64_t *handle = with_routes ? malloc(pcap * sizeof *handle) : NULL;
+    if (sums && qty && key && orig && seq && counts && (handle || !with_routes)) {
         Py_BEGIN_ALLOW_THREADS
         entries = replay(n, rec, nv, lifo, sign, eps, sums, sums + nv, &cum_nb, orig, key, qty,
-                         seq, counts);
+                         seq, counts, with_routes ? &rt : NULL, handle);
         Py_END_ALLOW_THREADS
     }
     free(rec); /* before the parcels are built, the replay's peak of memory */
-    PyObject *bufs = entries < 0 ? PyErr_NoMemory()
-                                 : buffers(nv, counts, orig, qty, key, seq, sign != 0.0, no_path);
+    if (entries < 0)
+        PyErr_NoMemory();
+    else if (with_routes && extend_columns(columns, &rt))
+        entries = -1;
+    PyObject *bufs = entries < 0 ? NULL
+                                 : buffers(nv, counts, orig, qty, key, seq, sign != 0.0, handle);
     PyObject *result = bufs ? Py_BuildValue("NNdLN", floats(sums, nv), floats(sums + nv, nv),
                                             cum_nb, (long long)entries, bufs)
                             : NULL;
+    free(rt.vertex);
+    free(rt.parent);
+    free(rt.depth);
     free(sums);
     free(qty);
     free(key);
     free(orig);
     free(seq);
     free(counts);
+    free(handle);
     return result;
 }
 

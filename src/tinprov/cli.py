@@ -135,7 +135,7 @@ def _load_scope(
         group_of: dict[int, int] = {}
         rows = csv.reader(_read_lines(parser, args.groups))
         for row in rows:
-            if not row or row[0].startswith("#"):
+            if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
                 raise ConfigError(

@@ -18,8 +18,8 @@ whole keeps its ``seq``, and so its place in the order.  Coalescing lowers
 unique within each heap, so ``seq`` then never decides an order.
 
 ``process()`` is the one per-interaction replay loop; ``run()`` reuses it,
-or hands a path-free replay of a fresh engine to the C kernel in
-``_kernels``, which builds the same heaps.
+or hands the replay of a fresh engine that does not coalesce to the C
+kernel in ``_kernels``, which builds the same heaps and the same routes.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from .core import (
     ConfigError,
     Interaction,
     Policy,
+    vertex_error,
 )
 
 
@@ -50,6 +51,10 @@ class Oracle:
         self._seq = 0
 
     def process(self, r: Interaction) -> None:
+        """Replay one record; a source or dest outside ``[0, n_vertices)``
+        raises IndexError before anything changes, as in every engine."""
+        if not (0 <= r.source < self.n_vertices and 0 <= r.dest < self.n_vertices):
+            raise vertex_error(self.n_vertices)
         if self.policy in ELEMENT_POLICIES:
             self._process_element(r)
         elif self.policy in PROPORTIONAL_POLICIES:

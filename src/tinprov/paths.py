@@ -8,7 +8,8 @@ reversed parent chains in three append-only integer columns (vertex, parent,
 depth); a handle is a node index.  Nothing is deduplicated: ``birth`` and
 ``extend`` each append exactly one node.  Prefixes are still shared through
 parent links, so a split copy and its remainder share every node before the
-split.
+split.  The compiled replay loop applies the same rule in the same order and
+extends a new store's ``columns`` with its nodes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ class PathStore:
         self._parent.append(parent)
         self._depth.append(depth)
         return len(self._vertex) - 1
+
+    @property
+    def columns(self) -> tuple:
+        """The (vertex, parent, depth) arrays, which a kernel replay extends."""
+        return self._vertex, self._parent, self._depth
 
     def mean_length(self, handles: Iterable[int]) -> float:
         """Mean route length (vertices, origin included) of ``handles``; 0.0 if none."""

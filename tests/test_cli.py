@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import kernels_buildable
+from conftest import kernels_buildable, rand_stream
 
 import tinprov
-from tinprov.cli import main
+from tinprov.cli import _load_scope, build_parser, main
+from tinprov.core import VertexTable
+from tinprov.synth import write_stream
 
 EXAMPLE_CSV = """\
 v1,v2,1,3
@@ -215,6 +217,24 @@ def test_paths_column(example_file, capsys):
         assert r["path"].split("|")[0] == r["origin"]
 
 
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "lrb", "mrb"])
+def test_paths_output_same_in_kernels(policy, tmp_path, capsys, monkeypatch, compiled):
+    """Routes replay in the kernels, with the stdout of the pure-Python replay."""
+    path = tmp_path / "loops.csv"
+    with open(path, "w") as fh:
+        write_stream(fh, rand_stream(20, 1500, seed=6, self_loops=True))
+    runs = [
+        ["run", str(path), "--policy", policy, "--paths", *extra]
+        for extra in ([], ["--format", "json"], ["--top", "3"], ["--top", "2", "--format", "json"])
+    ]
+    kernel = [run_cli(argv, capsys) for argv in runs]
+    monkeypatch.setattr(tinprov._kernels, "AVAILABLE", False)
+    python = [run_cli(argv, capsys) for argv in runs]
+    assert [out for _, out, _ in kernel] == [out for _, out, _ in python]
+    assert all(code == 0 and "\nbackend: compiled\n" in err for code, _, err in kernel)
+    assert all("\nbackend: python\n" in err for _, _, err in python)
+
+
 def test_top_limits_vertices(example_file, capsys):
     _, out, _ = run_cli(["run", example_file, "--top", "1"], capsys)
     rows = parse_csv(out)
@@ -329,6 +349,26 @@ def test_groups_row_without_group_is_usage_error(example_file, tmp_path, capsys)
         main(["run", example_file, "--policy", "prop-dense", "--groups", str(groups)])
     assert exc.value.code == 2
     assert "--groups line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("comment", ["  # note", "  # note, x"])
+def test_groups_file_indented_comment(example_file, tmp_path, capsys, comment):
+    """An indented comment is skipped: it is neither a short row nor a label."""
+    groups = tmp_path / "groups.csv"
+    groups.write_text(f"v0,west\n{comment}\nv1,east\nv2,east\n")
+    args = build_parser().parse_args(["run", example_file, "--groups", str(groups)])
+    table = VertexTable()
+    for label in ("v0", "v1", "v2"):
+        table.intern(label)
+    scope = _load_scope(args, None, None, table, [])
+    assert scope.slot_labels == ["west", "east"]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("v0,west\nv1,east\nv2,east\n")
+    outs = [
+        run_cli(["run", example_file, "--policy", "prop-sparse", "--groups", str(f)], capsys)[1]
+        for f in (groups, clean)
+    ]
+    assert outs[0] == outs[1] and parse_csv(outs[0])
 
 
 @pytest.fixture
@@ -503,7 +543,7 @@ def test_import_loads_no_numpy(example_file, tmp_path):
     "options, backend",
     [
         (["--policy", "fifo"], "compiled"),
-        (["--policy", "fifo", "--paths"], "python"),
+        (["--policy", "fifo", "--paths"], "compiled"),
         (["--policy", "prop-sparse"], "python"),
         ([], "python"),
     ],

@@ -132,13 +132,14 @@ class FakeKernels:
     """The module binding's interface without a compiler: an empty replay."""
 
     @staticmethod
-    def replay(stream, nv, policy, eps, no_path):
+    def replay(stream, nv, policy, eps, routes):
         return [0.0] * nv, [0.0] * nv, 0.0, 0, [[] for _ in range(nv)]
 
 
 def test_kernel_takes_only_fresh_plain_replays(monkeypatch):
-    """The kernels start empty and keep no routes or merge maps, so run()
-    hands them materialized streams, of any length, for fresh plain engines."""
+    """The kernels start empty and keep no merge maps, so run() hands them
+    materialized streams, of any length, for fresh engines that do not
+    coalesce, routes or not."""
     monkeypatch.setattr(_kernels, "warmup", lambda: True)
     monkeypatch.setattr(_kernels, "_lib", FakeKernels)
     stream = rand_stream(5, 3, 0)
@@ -149,8 +150,8 @@ def test_kernel_takes_only_fresh_plain_replays(monkeypatch):
     assert GenTimeEngine(5).run(stream[:1]).backend == "compiled"
     assert GenTimeEngine(5).run(iter(stream)).backend == "python"
     assert GenTimeEngine(5, coalesce=True).run(stream).backend == "python"
-    assert GenTimeEngine(5, track_paths=True).run(stream).backend == "python"
-    assert ReceiptEngine(5, track_paths=True).run(stream).backend == "python"
+    assert GenTimeEngine(5, track_paths=True).run(stream).backend == "compiled"
+    assert ReceiptEngine(5, track_paths=True).run(stream).backend == "compiled"
     assert used.run(stream).backend == "python"
 
 

@@ -14,7 +14,6 @@ from conftest import kernels_buildable, rand_stream
 
 import tinprov
 from tinprov import GenTimeEngine, Interaction, ReceiptEngine, _kernels
-from tinprov.paths import NO_PATH
 
 KERNELS = {"receipt": ReceiptEngine, "gentime": GenTimeEngine}
 
@@ -54,7 +53,7 @@ def test_record_forms_replay_like_process(kernel, compiled):
     with pytest.raises(ValueError):
         e.run(stream)
     with pytest.raises(TypeError):  # the module takes no other iterable
-        _kernels._lib.replay(iter(stream), 12, e.policy.value, e.epsilon, NO_PATH)
+        _kernels._lib.replay(iter(stream), 12, e.policy.value, e.epsilon, None)
     assert e.interactions_processed == 0
 
 
@@ -190,37 +189,133 @@ def test_long_hub_buffer_replays_like_process(name, compiled):
     assert (e.entries, e.peak_entries) == (ref.entries, ref.peak_entries)
 
 
+ROUTED_ENGINES = {
+    "fifo": lambda n: ReceiptEngine(n, track_paths=True),
+    "lifo": lambda n: ReceiptEngine(n, lifo=True, track_paths=True),
+    "lrb": lambda n: GenTimeEngine(n, track_paths=True),
+    "mrb": lambda n: GenTimeEngine(n, most_recent=True, track_paths=True),
+}
+
+
+def routed_stream(kind):
+    """(n, stream): integer quantities with self-loops, the same scaled down
+    to about 1e-9, where epsilon decides some splits, or the long hub stream."""
+    if kind == "hub":
+        return 3, hub_stream()
+    stream = rand_stream(12, 1500, seed=8, self_loops=True)
+    if kind == "fractional":
+        stream = [r._replace(quantity=r.quantity / 7.0**11) for r in stream]
+    return 12, stream
+
+
+def assert_same_routes(e, ref):
+    n = e.n_vertices
+    assert [e.snapshot_paths(v) for v in range(n)] == [ref.snapshot_paths(v) for v in range(n)]
+    assert e.paths.columns == ref.paths.columns
+    assert e.average_path_length() == ref.average_path_length()
+    assert (e.entries, e.peak_entries) == (ref.entries, ref.peak_entries)
+    assert e.totals == ref.totals
+
+
+@pytest.mark.parametrize("kind", ["integer", "fractional", "hub"])
+@pytest.mark.parametrize("name", list(ROUTED_ENGINES))
+def test_routes_replay_like_process(name, kind, compiled):
+    """The kernel appends the route nodes process() appends, in its order, so
+    the PathStore columns match exactly, and a kernel-seeded store keeps
+    extending like the Python one."""
+    n, stream = routed_stream(kind)
+    ref = ROUTED_ENGINES[name](n)
+    for r in stream:
+        ref.process(r)
+    e = ROUTED_ENGINES[name](n).run(stream)
+    assert e.backend == "compiled"
+    assert len(e.paths) > e.entries  # relays appended nodes beyond the births
+    assert_same_routes(e, ref)
+    # split and relay kernel-made parcels, at the fullest vertex, and add a newborn
+    v = max(range(n), key=lambda u: ref.totals[u])
+    t = stream[-1].time
+    for r in (
+        Interaction(v, v, t + 1, ref.totals[v] / 2),
+        Interaction(v, (v + 1) % n, t + 2, ref.totals[v] + 1.0),
+    ):
+        ref.process(r)
+        e.process(r)
+    assert_same_routes(e, ref)
+
+
 SANITIZED_SCRIPT = """
 import json, sys
 from tinprov import GenTimeEngine, Interaction, ReceiptEngine, _kernels
 _kernels._lib = _kernels._open(sys.argv[1])
 makes = [
-    lambda n: ReceiptEngine(n),
-    lambda n: ReceiptEngine(n, lifo=True),
-    lambda n: GenTimeEngine(n),
-    lambda n: GenTimeEngine(n, most_recent=True),
+    lambda n, routes: ReceiptEngine(n, track_paths=routes),
+    lambda n, routes: ReceiptEngine(n, lifo=True, track_paths=routes),
+    lambda n, routes: GenTimeEngine(n, track_paths=routes),
+    lambda n, routes: GenTimeEngine(n, most_recent=True, track_paths=routes),
 ]
 with open(sys.argv[2]) as fh:
     cases = json.load(fh)
+replayed = 0
 for n, records, error in cases:
     stream = [Interaction(*r) if len(r) == 4 else tuple(r) for r in records]
     for make in makes:
-        if error:
-            try:
-                make(n).run(stream)
-            except Exception as exc:
-                assert type(exc).__name__ == error, exc
-            else:
-                raise AssertionError(f"no {error}")
-            continue
-        ref = make(n)
-        for r in stream:
-            ref.process(r)
-        e = make(n).run(stream)
-        assert e.backend == "compiled"
-        assert [e.snapshot(v) for v in range(n)] == [ref.snapshot(v) for v in range(n)]
-        assert (e.totals, e.generated, e.entries) == (ref.totals, ref.generated, ref.entries)
-print("replayed", len(cases) * len(makes))
+        for routes in (False, True):
+            replayed += 1
+            if error:
+                try:
+                    make(n, routes).run(stream)
+                except Exception as exc:
+                    assert type(exc).__name__ == error, exc
+                else:
+                    raise AssertionError(f"no {error}")
+                continue
+            ref = make(n, routes)
+            for r in stream:
+                ref.process(r)
+            e = make(n, routes).run(stream)
+            assert e.backend == "compiled"
+            assert [e.snapshot(v) for v in range(n)] == [ref.snapshot(v) for v in range(n)]
+            assert (e.totals, e.generated, e.entries) == (ref.totals, ref.generated, ref.entries)
+            if routes:
+                assert [e.snapshot_paths(v) for v in range(n)] == [
+                    ref.snapshot_paths(v) for v in range(n)
+                ]
+print("replayed", replayed)
+"""
+
+
+# 400 parcels reach vertex 0, then 400 self-loops relay all of them: 160,400
+# route nodes, whose columns outgrow a 1 MB allocation cap while the parcel
+# pools stay a few kilobytes.  The pool runs out within the loop, so the
+# replay must stop there, before it copies any route into a store.
+OUT_OF_MEMORY_SCRIPT = """
+import sys
+from tinprov import GenTimeEngine, Interaction, ReceiptEngine, _kernels
+from tinprov.paths import PathStore
+_kernels._lib = _kernels._open(sys.argv[1])
+
+class Unreached:
+    columns = property(lambda self: (self,) * 3)
+
+    def frombytes(self, data):
+        raise AssertionError("routes copied after the pool ran out of memory")
+
+stream = [Interaction(1, 0, float(t), 1.0) for t in range(400)]
+stream += [Interaction(0, 0, float(400 + t), 400.0) for t in range(400)]
+for make in (ReceiptEngine, GenTimeEngine):
+    assert make(2).run(stream).entries == 400
+    e = make(2, track_paths=True)
+    paths = e.paths
+    _kernels.PathStore = Unreached  # the store run() fills
+    try:
+        e.run(stream)
+    except MemoryError:
+        pass
+    else:
+        raise AssertionError("no MemoryError")
+    _kernels.PathStore = PathStore
+    assert e.interactions_processed == 0 and e.paths is paths and len(paths) == 0
+print("refused")
 """
 
 
@@ -241,7 +336,9 @@ def sanitizer_runtimes():
 def test_replay_is_clean_under_sanitizers(tmp_path):
     """Built with AddressSanitizer and UndefinedBehaviorSanitizer, the module
     replays random streams, the long hub stream and the three malformed
-    records of the record reader like process(), with no report."""
+    records of the record reader like process(), with routes and without,
+    with no report.  Under an allocation cap that the route pool outgrows,
+    a routed replay raises MemoryError and leaves the engine unchanged."""
     runtimes = kernels_buildable() and sanitizer_runtimes()
     if not runtimes:
         pytest.skip("no C compiler, Python headers or sanitizer runtimes")
@@ -287,4 +384,17 @@ def test_replay_is_clean_under_sanitizers(tmp_path):
     )
     assert done.returncode == 0, done.stderr[-3000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr, done.stderr
-    assert done.stdout.strip() == f"replayed {4 * len(cases)}"
+    assert done.stdout.strip() == f"replayed {8 * len(cases)}"
+    capped = "allocator_may_return_null=1:max_allocation_size_mb=1"
+    env["ASAN_OPTIONS"] += ":" + capped
+    done = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_SCRIPT, str(so)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    # the cap's refusals print warnings, but no error report
+    assert "ERROR" not in done.stderr and "runtime error" not in done.stderr, done.stderr
+    assert done.stdout.strip() == "refused"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tinprov import Interaction, Oracle, Policy
+from tinprov import Interaction, Oracle, Policy, build_engine
 
 
 def test_oracle_least_recent_hand_trace(example_stream):
@@ -49,3 +49,20 @@ def test_oracle_totals_follow_baseline(example_stream):
 def test_only_proportional_policies_get_vectors(policy):
     assert Oracle(3, policy).vectors == []
     assert len(Oracle(3, Policy.PROP_SPARSE).vectors) == 3
+
+
+@pytest.mark.parametrize("bad", [Interaction(-1, 0, 2.0, 1.0), Interaction(0, 3, 2.0, 1.0)])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_oracle_refuses_vertex_outside_range_like_engines(policy, bad):
+    """The reference and an engine both raise IndexError on the same bad
+    record, and both keep what they held before it."""
+    first = Interaction(0, 1, 1.0, 2.0)
+    o = Oracle(3, policy).run([first])
+    e = build_engine(policy, 3).run([first])
+    with pytest.raises(IndexError, match=r"not an integer in \[0, 3\)"):
+        o.process(bad)
+    with pytest.raises(IndexError):  # an engine's message may be the list's own
+        e.process(bad)
+    assert o.totals == e.totals == [0.0, 2.0, 0.0]
+    assert o.generated == e.generated == [2.0, 0.0, 0.0]
+    assert [o.snapshot(v) for v in range(3)] == [e.snapshot(v) for v in range(3)]

@@ -1,5 +1,7 @@
 """Run report derivation and rendering."""
 
+from conftest import kernels_buildable
+
 from tinprov import (
     BudgetSpec,
     NoProvEngine,
@@ -53,7 +55,8 @@ def test_build_report_element_engine(example_stream):
     assert report.shrink_avg is None and report.shrink_pct is None
     assert report.avg_path_length == engine.average_path_length()
     assert report.promoted_rows is None
-    assert report.backend == "python"  # routes keep the replay in Python
+    # routes replay in the kernels too, where they can be built
+    assert report.backend == ("compiled" if kernels_buildable() else "python")
 
 
 def test_build_report_names_backend(example_stream, compiled):
